@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -281,10 +282,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--point -1,0`` as ``--point=-1,0``.
+
+    argparse takes a value that starts with '-' and is not a plain
+    negative number for an option, so a point with a negative first
+    coordinate would be a usage error.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--point" and i + 1 < len(argv) and re.match(r"-[0-9.]", argv[i + 1]):
+            out.append(f"--point={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

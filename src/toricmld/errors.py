@@ -63,3 +63,11 @@ class ParseError(ToricError):
 
 class ValidationError(ToricError):
     """Structurally valid input that violates a domain invariant."""
+
+
+class BoundBelowMinimum(ToricError, ValueError):
+    """An enumeration bound excludes every interior lattice point."""
+
+
+class InternalError(ToricError):
+    """An internal invariant failed; this indicates a bug, not bad input."""

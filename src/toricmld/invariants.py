@@ -16,16 +16,18 @@ in the original coordinates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from . import cones, linalg
 from .cones import Cone, Membership, make_cone
 from .errors import (
+    BoundBelowMinimum,
     CoefficientOutOfRange,
+    InternalError,
     NotFullDimensional,
     NotInteriorPoint,
     NotQCartier,
@@ -96,7 +98,6 @@ def multiplicity(coeff) -> int:
     return math.floor(1 / (1 - c))
 
 
-@lru_cache(maxsize=None)
 def orbifold_lattice(germ: ToricGerm) -> LatticeBasis:
     """Lattice generated by N and the rescaled ray generators ray/n_ray."""
     gens = list(germ.lattice.rows)
@@ -117,7 +118,6 @@ class LogDiscFunctional:
         return Fraction(dot(self.coeffs, v))
 
 
-@lru_cache(maxsize=None)
 def log_disc_functional(germ: ToricGerm) -> LogDiscFunctional:
     """Solve L(ray) = 1 - coeff over all rays.
 
@@ -138,9 +138,20 @@ def log_disc_functional(germ: ToricGerm) -> LogDiscFunctional:
 
 @dataclass(frozen=True)
 class _Rebased:
+    """A germ in integer coordinates with respect to a basis of N.
+
+    Log discrepancies are kept as integer numerators over ``den``:
+    L(c) = dot(l_num, c) / den for rebased coordinates c.
+    """
+
     cone: Cone
     basis: LatticeBasis
-    functional: tuple[Fraction, ...]  # L in rebased coordinates
+    l_num: tuple[int, ...]
+    den: int
+
+    def ray_sum_value(self) -> int:
+        """Numerator of L at the ray sum, an interior lattice point."""
+        return sum(dot(self.l_num, ray) for ray in self.cone.rays)
 
     def to_ambient(self, c: Sequence[int]) -> Point:
         if self.basis.is_standard:
@@ -151,19 +162,22 @@ class _Rebased:
         return tuple(int(x) if x.denominator == 1 else x for x in out)
 
 
-@lru_cache(maxsize=None)
 def _rebased(germ: ToricGerm) -> _Rebased:
     ldf = log_disc_functional(germ)
     if germ.lattice.is_standard:
-        return _Rebased(germ.cone, germ.lattice, ldf.coeffs)
-    rays_c = []
-    for ray in germ.cone.rays:
-        c = express_in_basis(germ.lattice, ray)
-        assert c is not None
-        rays_c.append(c)
-    cone_c = make_cone(germ.dim, rays_c)
-    l_c = tuple(ldf(row) for row in germ.lattice.rows)
-    return _Rebased(cone_c, germ.lattice, l_c)
+        cone, coeffs = germ.cone, ldf.coeffs
+    else:
+        rays_c = []
+        for ray in germ.cone.rays:
+            c = express_in_basis(germ.lattice, ray)
+            if c is None:
+                raise InternalError(f"ray {ray} of a validated germ is not a point of N")
+            rays_c.append(c)
+        cone = make_cone(germ.dim, rays_c)
+        coeffs = tuple(ldf(row) for row in germ.lattice.rows)
+    den = math.lcm(*[f.denominator for f in coeffs])
+    l_num = tuple(f.numerator * (den // f.denominator) for f in coeffs)
+    return _Rebased(cone, germ.lattice, l_num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +256,8 @@ def _enumerate_polytope_points(n, int_rows):
             else:
                 b = s // a
                 hi = b if hi is None or b < hi else hi
-        assert lo is not None and hi is not None, "search region is unbounded"
+        if lo is None or hi is None:
+            raise InternalError("search region is unbounded")
         for t in range(lo, hi + 1):
             point[depth] = t
             if depth + 1 == n:
@@ -254,20 +269,16 @@ def _enumerate_polytope_points(n, int_rows):
     return out
 
 
-def _interior_points_upto(rb: _Rebased, bound: Fraction):
-    """Interior lattice points u of the cone with 0 < L(u) <= bound,
-    with their values, in rebased coordinates."""
-    n = rb.cone.n
-    den = math.lcm(*[f.denominator for f in rb.functional], Fraction(bound).denominator)
-    l_row = tuple(int(f * den) for f in rb.functional)
-    b_num = int(Fraction(bound) * den)
-    rows = [(f, 0) for f in rb.cone.facets]
-    rows.append((tuple(-x for x in l_row), -b_num))
-    pts = _enumerate_polytope_points(n, rows)
+def _interior_points_upto(rb: _Rebased, b_num: int):
+    """Interior lattice points u of the cone with 0 < L(u) <= b_num / den,
+    paired with the numerator of L(u), in rebased coordinates."""
+    facets, l_num = rb.cone.facets, rb.l_num
+    rows = [(f, 0) for f in facets]
+    rows.append((tuple(-x for x in l_num), -b_num))
     result = []
-    for p in pts:
-        if all(dot(f, p) > 0 for f in rb.cone.facets):
-            val = Fraction(dot(l_row, p), den)
+    for p in _enumerate_polytope_points(rb.cone.n, rows):
+        if all(dot(f, p) > 0 for f in facets):
+            val = dot(l_num, p)
             if val > 0:
                 result.append((p, val))
     return result
@@ -310,17 +321,20 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
     contain the minimum.
     """
     rb = _rebased(germ)
-    ray_sum = tuple(sum(col) for col in zip(*rb.cone.rays))
-    default_bound = Fraction(dot(rb.functional, ray_sum))
-    b = Fraction(bound) if bound is not None else default_bound
-    pts = _interior_points_upto(rb, b)
+    if bound is None:
+        b_num = rb.ray_sum_value()
+        b = Fraction(b_num, rb.den)
+    else:
+        b = Fraction(bound)
+        b_num = math.floor(b * rb.den)
+    pts = _interior_points_upto(rb, b_num)
     if not pts:
-        raise ValueError(
+        raise BoundBelowMinimum(
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
     value = min(v for _, v in pts)
     minimizers = sorted(rb.to_ambient(p) for p, v in pts if v == value)
-    return MldResult(value, tuple(minimizers), b)
+    return MldResult(Fraction(value, rb.den), tuple(minimizers), b)
 
 
 def count_window(germ: ToricGerm, low, high) -> WindowCount:
@@ -329,11 +343,33 @@ def count_window(germ: ToricGerm, low, high) -> WindowCount:
     if not (0 < lo <= hi):
         raise ValueError("window must satisfy 0 < low <= high")
     rb = _rebased(germ)
-    pts = _interior_points_upto(rb, hi)
+    # integer numerators v with lo <= v / den < hi
+    lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
+    pts = _interior_points_upto(rb, hi_num - 1)
     kept = sorted(
-        (rb.to_ambient(p), v) for p, v in pts if lo <= v < hi
+        (rb.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
     )
     return WindowCount(lo, hi, tuple(kept), len(kept))
+
+
+def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tuple[int, ...]]:
+    """The mld and, for each delta, the number of interior lattice points
+    with log discrepancy in [mld, mld + delta).
+
+    Equal to ``mld(germ).value`` and ``count_window(germ, m, m + delta).count``
+    for each delta, from one enumeration up to L(sum of rays), plus a
+    second one up to mld + max(deltas) only when that exceeds it.
+    """
+    rb = _rebased(germ)
+    bound = rb.ray_sum_value()
+    pts = _interior_points_upto(rb, bound)
+    m = min(v for _, v in pts)
+    # the largest numerator inside [m, m + delta)
+    tops = [m + math.ceil(Fraction(d) * rb.den) - 1 for d in deltas]
+    if tops and max(tops) > bound:
+        pts = _interior_points_upto(rb, max(tops))
+    values = sorted(v for _, v in pts)
+    return Fraction(m, rb.den), tuple(bisect.bisect_right(values, top) for top in tops)
 
 
 def log_discrepancy_at(germ: ToricGerm, u: Sequence) -> Fraction:
@@ -344,7 +380,7 @@ def log_discrepancy_at(germ: ToricGerm, u: Sequence) -> Fraction:
     rb = _rebased(germ)
     if cones.membership(rb.cone, c) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"{tuple(u)} is not in the interior of the cone")
-    return Fraction(dot(rb.functional, c))
+    return Fraction(dot(rb.l_num, c), rb.den)
 
 
 def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
@@ -358,7 +394,8 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
     rows = []
     for ray in germ.cone.rays:
         c = express_in_basis(ob, ray)
-        assert c is not None, "rays always lie in the orbifold lattice"
+        if c is None:
+            raise InternalError(f"ray {ray} is not a point of the orbifold lattice")
         rows.append(c)
     res = snf(rows)
     factors = tuple(d for d in res.invariant_factors if d > 1)

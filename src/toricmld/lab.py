@@ -35,10 +35,9 @@ from .errors import (
 from .germio import format_q, germ_doc
 from .invariants import (
     ToricGerm,
-    count_window,
     log_disc_functional,
     make_germ,
-    mld,
+    mld_window_counts,
     pi1_reg,
 )
 from .linalg import lattice_from_generators
@@ -79,18 +78,54 @@ class InstanceResult:
 
 def check_instance(inst: ConjectureInstance) -> InstanceResult:
     """Compute mld, window count and group order, and classify."""
-    germ = inst.germ
+    return _check_germ([inst])[0]
+
+
+def check_instances(
+    instances: Iterable[ConjectureInstance], jobs: int = 1
+) -> list[InstanceResult]:
+    """``check_instance`` of every instance, in input order.
+
+    Instances are grouped by germ in first-seen order, and each distinct
+    germ is evaluated once for all of its (epsilon, delta) pairs.  With
+    ``jobs > 1`` the groups are mapped over a thread pool.
+    """
+    instances = list(instances)
+    groups: dict[ToricGerm, list[int]] = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst.germ, []).append(i)
+    work = [[instances[i] for i in idx] for idx in groups.values()]
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            group_results = list(pool.map(_check_germ, work))
+    else:
+        group_results = [_check_germ(group) for group in work]
+    results = [None] * len(instances)
+    for idx, group_result in zip(groups.values(), group_results):
+        for i, result in zip(idx, group_result):
+            results[i] = result
+    return results
+
+
+def _check_germ(instances: list[ConjectureInstance]) -> list[InstanceResult]:
+    """Results for instances that share one germ, from one evaluation of it."""
+    germ = instances[0].germ
+    deltas = sorted({inst.delta for inst in instances})
     try:
-        m = mld(germ)
+        value, counts = mld_window_counts(germ, deltas)
     except (NotQCartier, NotFullDimensional) as exc:
-        return InstanceResult(
+        degenerate = InstanceResult(
             None, False, None, None, Classification.DEGENERATE, str(exc)
         )
-    wc = count_window(germ, m.value, m.value + inst.delta)
-    pi = pi1_reg(germ)
-    ok = m.value > inst.epsilon
-    cls = Classification.SATISFIES if ok else Classification.VIOLATES_MLD
-    return InstanceResult(m.value, ok, wc.count, pi.order, cls)
+        return [degenerate] * len(instances)
+    count_of = dict(zip(deltas, counts))
+    order = pi1_reg(germ).order
+    results = []
+    for inst in instances:
+        ok = value > inst.epsilon
+        cls = Classification.SATISFIES if ok else Classification.VIOLATES_MLD
+        results.append(InstanceResult(value, ok, count_of[inst.delta], order, cls))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +273,8 @@ def scan(instances: Iterable[ConjectureInstance], jobs: int = 1) -> ScanReport:
     """Fold instances into a report; the fold is a commutative merge, so
     the result is independent of ordering and of the parallelism level."""
     instances = list(instances)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check_instance, instances))
-    else:
-        results = [check_instance(inst) for inst in instances]
     report = ScanReport(cells={})
-    for inst, result in zip(instances, results):
+    for inst, result in zip(instances, check_instances(instances, jobs)):
         _fold(report, inst, result)
     return report
 

@@ -10,6 +10,7 @@ touches floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +26,7 @@ RatVec = tuple[Fraction, ...]
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:

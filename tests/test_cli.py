@@ -141,6 +141,27 @@ def test_cli_trichotomy_decompose_blowup(germ_file):
     assert int(doc["coarse_order"]) >= int(doc["pi1_order"])
 
 
+def test_cli_point_with_negative_first_coordinate(germ_file):
+    # the cone of test_cli_trichotomy_decompose_blowup with x negated
+    path = germ_file({"dim": 3, "rays": [[-1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 1, -1]]})
+    code, out, err = run("trichotomy", path, "--point", "-1,1,0")
+    assert code == 0, err
+    assert json.loads(out)["variant"] == "SpanningPair"
+    code, out, err = run("decompose", path, "--point", "-1,1,0")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["k0"] == 2 and doc["total_weight"] == 6
+    code, _, _ = run("decompose", path, "--point")  # missing value
+    assert code == 2
+
+
+def test_cli_bound_below_minimum(germ_file):
+    path = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]})
+    code, out, err = run("mld", path, "--bound", "1/2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: BoundBelowMinimum: ")
+
+
 def test_cli_out_and_pretty(germ_file, tmp_path):
     path = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]})
     out_file = tmp_path / "result.json"

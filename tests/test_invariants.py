@@ -5,11 +5,14 @@ import pytest
 
 import toricmld as t
 from toricmld.errors import (
+    BoundBelowMinimum,
     CoefficientOutOfRange,
+    InternalError,
     NotInteriorPoint,
     NotQCartier,
     ValidationError,
 )
+from toricmld.invariants import _enumerate_polytope_points
 
 F = Fraction
 
@@ -81,6 +84,17 @@ def test_mld_custom_bound():
     assert r.value == 1 and len(r.minimizers) == 4
     with pytest.raises(ValueError):
         t.mld(g, bound=F(1, 2))
+
+
+def test_bound_below_minimum_is_a_domain_error():
+    with pytest.raises(BoundBelowMinimum):
+        t.mld(germ2(5), bound=F(1, 2))
+
+
+def test_unbounded_search_region_is_an_internal_error():
+    # x >= 0, y >= 0 alone leave the region unbounded
+    with pytest.raises(InternalError, match="unbounded"):
+        _enumerate_polytope_points(2, [((1, 0), 0), ((0, 1), 0)])
 
 
 def test_mld_pair_with_boundary():

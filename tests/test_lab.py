@@ -1,11 +1,21 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import toricmld as t
-from toricmld.errors import BadParam, SamplingExhausted, ValidationError
-from toricmld.lab import Classification, instances_from_spec
+from toricmld import invariants
+from toricmld.errors import (
+    BadParam,
+    NotFullDimensional,
+    NotQCartier,
+    SamplingExhausted,
+    ValidationError,
+)
+from toricmld.lab import Classification, InstanceResult, check_instances, instances_from_spec
+
+from conftest import sampled_germs
 
 F = Fraction
 
@@ -154,3 +164,50 @@ def test_instances_from_spec():
     instances = instances_from_spec(spec)
     assert len(instances) == (3 + 2) * 2
     assert {i.epsilon for i in instances} == {F(1, 2), F(1, 4)}
+
+
+def _per_instance(inst):
+    """The per-instance path: mld, then count_window(mld, mld + delta),
+    then pi1_reg, each on its own."""
+    try:
+        m = t.mld(inst.germ)
+    except (NotQCartier, NotFullDimensional) as exc:
+        return InstanceResult(None, False, None, None, Classification.DEGENERATE, str(exc))
+    wc = t.count_window(inst.germ, m.value, m.value + inst.delta)
+    ok = m.value > inst.epsilon
+    cls = Classification.SATISFIES if ok else Classification.VIOLATES_MLD
+    return InstanceResult(m.value, ok, wc.count, t.pi1_reg(inst.germ).order, cls)
+
+
+def test_check_instances_matches_per_instance_path(monkeypatch):
+    germs = [
+        t.family(name, p)
+        for name, params in (("ex1", (2, 5, 30)), ("ex2", (2, 6)), ("ex3", (2, 5)), ("ex4", (2, 3, 5)))
+        for p in params
+    ]
+    sampled = sampled_germs(2, 4, 4, 10, seed0=70_000) + sampled_germs(3, 5, 2, 10, seed0=71_000)
+    assert any(any(b for b in g.boundary) for g in sampled)
+    germs += sampled
+    # the plane with a boundary: mld = L(ray sum), so every window reaches
+    # past the first enumeration
+    germs.append(t.make_germ(t.make_cone(2, [(1, 0), (0, 1)]), [F(1, 2), F(0)]))
+    fourray = t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    germs.append(t.make_germ(fourray, [F(1, 2) if r == (1, 0, 0) else F(0) for r in fourray.rays]))
+    grid = [(F(1, 2), F(1, 4)), (F(1, 3), F(1, 2)), (F(1, 2), F(3, 4)), (F(2), F(9, 10))]
+    instances = [t.ConjectureInstance(g, eps, delta) for g in germs for eps, delta in grid]
+
+    enumerations = Counter()
+    real = invariants._interior_points_upto
+
+    def counting(rb, b_num):
+        enumerations[rb] += 1
+        return real(rb, b_num)
+
+    monkeypatch.setattr(invariants, "_interior_points_upto", counting)
+    fast = check_instances(instances)
+    monkeypatch.undo()
+
+    assert len(enumerations) == len(set(germs)) - 1  # all but the degenerate germ
+    assert max(enumerations.values()) == 2  # the second enumeration ran, and never a third
+    assert fast == [_per_instance(inst) for inst in instances]
+    assert check_instances(list(reversed(instances)), jobs=2) == fast[::-1]
