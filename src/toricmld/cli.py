@@ -204,7 +204,7 @@ def _cmd_blowup(args) -> dict:
         "k_values": [format_q(k) for k in rep.k_values],
         "group_order": str(rep.group_order),
         "coarse_order": str(rep.coarse_order),
-        "pi1_order": str(pi1_reg(germ).order),
+        "pi1_order": str(rep.pi1_order),
     }
 
 

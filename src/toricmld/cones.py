@@ -3,9 +3,10 @@
 A cone is stored by its primitive extremal rays together with an eagerly
 computed facet description (primitive inward normals).  The dual
 description is obtained by the double description method over exact
-rationals, processing one inequality at a time.  Cones that do not span
-the ambient space are handled by rebasing to a basis of span intersect
-Z^n and recursing in lower dimension.
+rationals, processing one inequality at a time; extremality, membership
+and relative interiors are all read off the facets.  Cones that do not
+span the ambient space are handled by rebasing to a basis of span
+intersect Z^n and recursing in lower dimension.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyInput, NotFullRank, NotInCone, NotStronglyConvex
+from .errors import EmptyInput, InternalError, NotFullRank, NotInCone, NotStronglyConvex
 from .linalg import IntVec, dot, mat_inverse, mat_mul, primitive, primitive_direction, rank, transpose
 
 
@@ -66,131 +67,6 @@ class Face:
         if not self.ray_indices:
             raise EmptyInput("the zero face has no generating rays")
         return make_cone(self.parent.n, self.rays)
-
-
-# ---------------------------------------------------------------------------
-# exact simplex (feasibility and small LPs over the rationals)
-
-
-def _lp_max(a_rows, b, c_obj):
-    """Maximise c.x subject to a_rows . x = b, x >= 0, exactly.
-
-    Returns (status, value, x) with status one of 'optimal',
-    'infeasible', 'unbounded'.  Two-phase tableau simplex with Bland's
-    rule.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = []
-    rhs = []
-    for row, bi in zip(a_rows, b):
-        r = [Fraction(x) for x in row]
-        bi = Fraction(bi)
-        if bi < 0:
-            r = [-x for x in r]
-            bi = -bi
-        rows.append(r)
-        rhs.append(bi)
-    # phase 1: artificial variables n..n+m-1
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    total = n + m
-
-    def pivot(pr, pc):
-        piv = tab[pr][pc]
-        tab[pr] = [x / piv for x in tab[pr]]
-        for i in range(m):
-            if i != pr and tab[i][pc] != 0:
-                f = tab[i][pc]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
-        basis[pr] = pc
-
-    def optimise(cost, allowed):
-        # maximise cost over columns in `allowed`; Bland's rule
-        while True:
-            z = [Fraction(0)] * (total + 1)
-            for i, bi in enumerate(basis):
-                ci = cost[bi]
-                if ci != 0:
-                    z = [zz + ci * x for zz, x in zip(z, tab[i])]
-            entering = None
-            for j in range(total):
-                if j in allowed and j not in basis and cost[j] - z[j] > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return "optimal", z[total]
-            ratios = [
-                (tab[i][total] / tab[i][entering], basis[i], i)
-                for i in range(m)
-                if tab[i][entering] > 0
-            ]
-            if not ratios:
-                return "unbounded", None
-            _, _, pr = min(ratios)
-            pivot(pr, entering)
-
-    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m + [Fraction(0)]
-    status, val = optimise(cost1, set(range(total)))
-    assert status == "optimal"
-    if val != 0:
-        return "infeasible", None, None
-    # drive artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            pc = next((j for j in range(n) if tab[i][j] != 0), None)
-            if pc is not None:
-                pivot(i, pc)
-    cost2 = [Fraction(x) for x in c_obj] + [Fraction(0)] * m + [Fraction(0)]
-    status, val = optimise(cost2, set(range(n)))
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][total]
-    return "optimal", val, tuple(x)
-
-
-def in_cone(rays: Sequence[Sequence], v: Sequence) -> bool:
-    """Exact feasibility: is v a nonnegative combination of the rays?"""
-    if not rays:
-        return all(x == 0 for x in v)
-    a = transpose(rays)  # ambient coordinate equations, one unknown per ray
-    status, _, _ = _lp_max(a, tuple(v), [0] * len(rays))
-    return status != "infeasible"
-
-
-def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
-    """Is v a strictly positive combination of all the rays?
-
-    This characterises the relative interior of the cone the rays span.
-    """
-    k = len(rays)
-    if k == 0:
-        return all(x == 0 for x in v)
-    n = len(v)
-    # variables: lambda_1..k, t, s_1..k ; rows: ambient eqs, then lambda_i - t - s_i = 0
-    a = []
-    b = []
-    for j in range(n):
-        a.append([rays[i][j] for i in range(k)] + [0] + [0] * k)
-        b.append(v[j])
-    for i in range(k):
-        row = [0] * (2 * k + 1)
-        row[i] = 1
-        row[k] = -1
-        row[k + 1 + i] = -1
-        a.append(row)
-        b.append(0)
-    c = [0] * (2 * k + 1)
-    c[k] = 1
-    status, val, _ = _lp_max(a, b, c)
-    if status == "infeasible":
-        return False
-    if status == "unbounded":
-        return True
-    return val > 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,35 +154,27 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     r = rank(prims)
     if r < n:
         sat = linalg.saturation_basis(prims, n)
-        coords = []
-        for p in prims:
-            c = _span_coords(sat, p)
-            if c is None:
-                raise NotFullRank("generator outside the saturated span")
-            coords.append(c)
+        coords = [_span_coords(sat, p) for p in prims]
+        if None in coords:
+            raise NotFullRank("generator outside the saturated span")
         inner = make_cone(r, coords)
         out_rays = tuple(sorted(tuple(dot(c, col) for col in zip(*sat)) for c in inner.rays))
         out_facets = tuple(sorted(_lift_normals(inner.facets, sat)))
         return Cone(n, out_rays, out_facets, inner.dim, span=sat)
     dual_rays, lin = _double_description(n, prims)
-    assert not lin
+    if lin:
+        raise InternalError("full-rank generators left a lineality space in the dual")
     if rank(dual_rays) < n:
         raise NotStronglyConvex("cone contains a line")
-    extremal = []
-    for i, p in enumerate(prims):
-        others = prims[:i] + prims[i + 1:]
-        if not in_cone(others, p):
-            extremal.append(p)
-    return Cone(n, tuple(sorted(extremal)), tuple(sorted(dual_rays)), n, span=None)
+    # incidence test: a generator is extremal iff the facets tight at it have rank n - 1
+    extremal = [p for p in prims if rank([f for f in dual_rays if dot(f, p) == 0]) == n - 1]
+    return Cone(n, tuple(extremal), tuple(sorted(dual_rays)), n, span=None)
 
 
 def _span_coords(sat_rows, v) -> IntVec | None:
     """Integer coordinates of v in the saturated span basis, if any."""
-    a = transpose(sat_rows)
-    sol = linalg.solve_rational(a, v)
-    if not isinstance(sol, tuple):
-        return None
-    if any(x.denominator != 1 for x in sol):
+    sol = _rational_span_coords(sat_rows, v)
+    if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
 
@@ -321,15 +189,26 @@ def dual_cone(c: Cone) -> Cone:
 
 def membership(c: Cone, v: Sequence) -> Membership:
     v = tuple(Fraction(x) for x in v)
-    if c.span is not None:
-        if _rational_span_coords(c.span, v) is None:
-            return Membership.OUTSIDE
+    if c.span is not None and _rational_span_coords(c.span, v) is None:
+        return Membership.OUTSIDE
     vals = [dot(f, v) for f in c.facets]
     if any(x < 0 for x in vals):
         return Membership.OUTSIDE
     if any(x == 0 for x in vals):
         return Membership.BOUNDARY
     return Membership.RELATIVE_INTERIOR
+
+
+def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
+    """Is v in the relative interior of the cone the rays span?
+
+    The rays must span a strongly convex cone, as any subset of a strongly
+    convex cone's rays does; otherwise make_cone raises NotStronglyConvex
+    (rays containing a line) or ZeroVector (a zero ray).
+    """
+    if not rays:
+        return all(x == 0 for x in v)
+    return membership(make_cone(len(v), rays), v) is Membership.RELATIVE_INTERIOR
 
 
 def _rational_span_coords(sat_rows, v):
@@ -347,9 +226,5 @@ def minimal_face_containing(c: Cone, v: Sequence) -> Face:
     if membership(c, v) is Membership.OUTSIDE:
         raise NotInCone(f"{v} is not in the cone")
     zero_facets = [f for f in c.facets if dot(f, v) == 0]
-    idx = tuple(
-        i
-        for i, r in enumerate(c.rays)
-        if all(dot(f, r) == 0 for f in zero_facets)
-    )
+    idx = tuple(i for i, r in enumerate(c.rays) if all(dot(f, r) == 0 for f in zero_facets))
     return Face(c, idx)

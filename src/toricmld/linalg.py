@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotFullRank, ZeroVector
+from .errors import InternalError, NotFullRank, ZeroVector
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -393,7 +393,8 @@ def saturation_basis(rows, n: int) -> tuple[IntVec, ...]:
     basis = []
     for i in range(r):
         row = vinv[i]
-        assert all(x.denominator == 1 for x in row)
+        if any(x.denominator != 1 for x in row):
+            raise InternalError("the inverse of a unimodular Smith transform is not integral")
         basis.append(tuple(int(x) for x in row))
     h, _ = hnf(basis)
     return tuple(h[i] for i in range(r))
@@ -458,7 +459,8 @@ def coords_in_basis(basis: LatticeBasis, v: Sequence) -> RatVec:
     """Rational coordinates c with c . basis = v (basis is square, full rank)."""
     a = transpose(basis.rows)
     sol = solve_rational(a, tuple(Fraction(x) for x in v))
-    assert isinstance(sol, tuple)
+    if not isinstance(sol, tuple):
+        raise InternalError("a full-rank square lattice basis gave no unique coordinates")
     return sol
 
 

@@ -37,6 +37,7 @@ from .cones import (
 )
 from .errors import (
     DependentVectors,
+    InternalError,
     NotFullDimensional,
     NotInteriorPoint,
     TooManyRays,
@@ -79,12 +80,14 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class BlowupReport:
-    """Data of the simplicial sub-cone spanned by a decomposition."""
+    """Data of the simplicial sub-cone spanned by a decomposition, with
+    the order of the regional fundamental group it was checked against."""
 
     sigma0: Cone
     k_values: tuple[Fraction, ...]
     group_order: int
     coarse_order: int
+    pi1_order: int
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,8 @@ def _tau_containing_ray(c: Cone, m, rho) -> Cone:
     lam = min(ratios)
     m2 = tuple(Fraction(x) - lam * r for x, r in zip(m, rho))
     face = minimal_face_containing(c, m2)
-    assert face.ray_indices, "descent from an interior point cannot reach the origin"
+    if not face.ray_indices:
+        raise InternalError("descent from an interior point reached the origin")
     face_cone = face.as_cone()
     if is_simplicial(face_cone):
         chosen = face_cone.rays
@@ -144,7 +148,8 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
     if is_simplicial(c):
         return Simplicial()
     index_sets = _subcone_index_sets(c, m)
-    assert index_sets, "a non-simplicial cone always admits such a sub-cone"
+    if not index_sets:
+        raise InternalError("a non-simplicial cone always admits such a sub-cone")
     for idx in index_sets:
         if rank([c.rays[i] for i in idx]) == c.n:
             return FullDimSubcone(make_cone(c.n, [c.rays[i] for i in idx]))
@@ -152,7 +157,8 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
     while True:
         rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > rank(tau1.rays))
         tau2 = _tau_containing_ray(c, m, rho)
-        assert tau2.dim < c.n
+        if tau2.dim >= c.n:
+            raise InternalError("a sub-cone through a boundary face is full-dimensional")
         if rank(tau1.rays + tau2.rays) == c.n:
             return SpanningPair(tau1, tau2)
         tau1 = make_cone(c.n, tau1.rays + tau2.rays)
@@ -163,8 +169,8 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
 
 def _simplicial_decomposition(cone: Cone, m):
     sol = solve_rational(transpose(cone.rays), m)
-    assert isinstance(sol, tuple)
-    assert all(x > 0 for x in sol)
+    if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
+        raise InternalError("an interior point is not a positive combination of simplicial rays")
     k0 = math.lcm(*[x.denominator for x in sol])
     vectors = []
     grids = []
@@ -181,7 +187,8 @@ def _rebase_to_span(rays, m, n):
 
     def down(v):
         sol = solve_rational(transpose(sat), v)
-        assert isinstance(sol, tuple) and all(x.denominator == 1 for x in sol)
+        if not isinstance(sol, tuple) or any(x.denominator != 1 for x in sol):
+            raise InternalError(f"{tuple(v)} has no integer coordinates in the saturated span")
         return tuple(int(x) for x in sol)
 
     def up(v):
@@ -216,7 +223,8 @@ def _decompose_rec(rays, m, n):
         else:
             unused_vecs.append(v)
             unused_grids.append(g)
-    assert rank(basis) == n
+    if rank(basis) != n:
+        raise InternalError("the two sub-cone decompositions do not span")
     if unused_vecs:
         w = tuple(sum(col) for col in zip(*unused_vecs))
         gw = {}
@@ -233,7 +241,7 @@ def _decompose_rec(rays, m, n):
                 basis_grids[i] = merged
                 break
         else:  # pragma: no cover - impossible: k0*m would vanish
-            raise AssertionError("no replacement keeps the family independent")
+            raise InternalError("no replacement keeps the family independent")
     return k0a + k0b, basis, basis_grids
 
 
@@ -263,13 +271,17 @@ def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
 def _validate_decomposition(germ, m, d):
     rays = germ.cone.rays
     n = germ.dim
-    assert rank(d.vectors) == n
+    if rank(d.vectors) != n:
+        raise InternalError("decomposition vectors are not independent")
     for v, row in zip(d.vectors, d.coefficients):
-        assert all(k >= 0 for k in row)
+        if any(k < 0 for k in row):
+            raise InternalError(f"negative ray coefficient in {row}")
         combo = tuple(sum(k * r[j] for k, r in zip(row, rays)) for j in range(n))
-        assert tuple(v) == combo
+        if tuple(v) != combo:
+            raise InternalError(f"vector {tuple(v)} is not its ray combination {combo}")
     total = tuple(sum(Fraction(v[j]) for v in d.vectors) for j in range(n))
-    assert total == tuple(d.k0 * Fraction(x) for x in m)
+    if total != tuple(d.k0 * Fraction(x) for x in m):
+        raise InternalError("decomposition vectors do not sum to k0 * m")
 
 
 def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
@@ -279,7 +291,7 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     The order of the quotient by the raw vectors bounds the order of the
     regional fundamental group from above, because the vectors generate
     a subgroup of the group the rays generate; this is checked
-    numerically.
+    numerically, and the order of that group is reported as pi1_order.
     """
     n = germ.dim
     if det(d.vectors) == 0:
@@ -292,7 +304,8 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     prim_ambient = []
     for v in d.vectors:
         c = express_in_basis(ob, v)
-        assert c is not None, "ray combinations lie in the orbifold lattice"
+        if c is None:
+            raise InternalError(f"ray combination {tuple(v)} is not in the orbifold lattice")
         raw_coords.append(c)
         c0 = linalg.primitive(c)
         prim_coords.append(c0)
@@ -303,6 +316,8 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
         k_values.append(ldf(amb))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
-    assert coarse >= pi1_reg(germ).order
+    pi1_order = pi1_reg(germ).order
+    if coarse < pi1_order:
+        raise InternalError(f"coarse order {coarse} is below |pi1_reg| = {pi1_order}")
     sigma0 = make_cone(n, [linalg.primitive_direction(v) for v in prim_ambient])
-    return BlowupReport(sigma0, tuple(k_values), group, coarse)
+    return BlowupReport(sigma0, tuple(k_values), group, coarse, pi1_order)

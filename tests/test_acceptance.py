@@ -188,7 +188,7 @@ def test_criterion_7_geometry_properties():
 
 def test_criterion_8_structure_algorithms():
     with criterion(8, "trichotomy/decompose/blowup on non-simplicial germs at mld minimizers, <2min"):
-        from toricmld.cones import in_relint
+        from lp_reference import in_relint
         from toricmld.linalg import rank
         from toricmld.structure import FullDimSubcone, SpanningPair, Simplicial
 

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 import toricmld as t
-from toricmld.cones import in_cone, in_relint
-from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex
-from toricmld.linalg import dot
+from toricmld.cones import in_relint
+from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex, ZeroVector
+from toricmld.linalg import dot, rank
+
+from lp_reference import extremal_generators, in_cone
+from lp_reference import in_relint as lp_in_relint
 
 ORTHANT2 = t.make_cone(2, [(1, 0), (0, 1)])
 FOURRAY = t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
@@ -130,7 +133,7 @@ def test_minimal_face_feasibility_oracle():
             face = t.minimal_face_containing(cone, v)
             assert set(face.rays) <= set(cone.rays)
             if face.rays:
-                assert in_relint(face.rays, v)
+                assert lp_in_relint(face.rays, v)
             else:
                 assert all(x == 0 for x in v)
 
@@ -144,8 +147,6 @@ def test_in_cone_feasibility():
 
 
 def test_facets_vanish_on_enough_rays():
-    from toricmld.linalg import rank
-
     for cone in (ORTHANT2, FOURRAY,
                  t.make_cone(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])):
         for f in cone.facets:
@@ -175,4 +176,83 @@ def test_membership_agrees_with_lp_oracle():
             via_facets = t.membership(cone, v) is not t.Membership.OUTSIDE
             assert via_facets == in_cone(cone.rays, v)
             interior = t.membership(cone, v) is t.Membership.RELATIVE_INTERIOR
-            assert interior == in_relint(cone.rays, v)
+            assert interior == lp_in_relint(cone.rays, v)
+
+
+def _random_generators(rng, n):
+    """Generators of a random cone in Z^n, possibly of lower rank, padded
+    with a non-extremal sum, a duplicate and a non-primitive multiple."""
+    r = rng.randint(max(1, n - 1), n)
+    basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(r)]
+    gens = []
+    for _ in range(rng.randint(r, r + 3)):
+        coeffs = [rng.randint(-2, 2) for _ in range(r)]
+        gens.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+    gens = [g for g in gens if any(g)]
+    if len(gens) >= 2:
+        gens.append(tuple(a + b for a, b in zip(gens[0], gens[1])))
+        gens.append(gens[1])
+        gens.append(tuple(3 * x for x in gens[-1]))
+    return gens
+
+
+def test_make_cone_extremal_rays_agree_with_lp():
+    # the incidence test keeps exactly the generators that no others
+    # generate, on full-dimensional and lower-dimensional cones alike
+    rng = random.Random(41)
+    checked = {"full": 0, "lower": 0}
+    for n in (2, 3, 4, 5):
+        tries = 0
+        while tries < 40:
+            gens = _random_generators(rng, n)
+            try:
+                cone = t.make_cone(n, gens)
+            except (NotStronglyConvex, EmptyInput, ZeroVector):
+                continue
+            tries += 1
+            assert cone.rays == extremal_generators(gens)
+            checked["full" if cone.dim == n else "lower"] += 1
+    assert checked["full"] >= 20 and checked["lower"] >= 20
+
+
+def test_in_relint_agrees_with_lp_on_subsets():
+    # every proper ray subset of random cones, lower-rank subsets
+    # included, probed at the subset's ray sum, at each ray, at the
+    # parent's ray sum and at random points
+    import itertools
+
+    rng = random.Random(43)
+    cones = []
+    while len(cones) < 10:
+        n = rng.randint(2, 4)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 2))]
+        try:
+            cone = t.make_cone(n, rays)
+        except t.ToricError:
+            continue
+        if cone.dim == n and 3 <= len(cone.rays) <= 6:
+            cones.append(cone)
+    answers = set()
+    for cone in cones:
+        total = tuple(sum(col) for col in zip(*cone.rays))
+        k = len(cone.rays)
+        for size in range(1, k):
+            for idx in itertools.combinations(range(k), size):
+                sub = [cone.rays[i] for i in idx]
+                probes = [tuple(sum(col) for col in zip(*sub)), total, *sub]
+                probes += [tuple(rng.randint(-3, 3) for _ in range(cone.n)) for _ in range(2)]
+                for v in probes:
+                    got = in_relint(sub, v)
+                    assert got == lp_in_relint(sub, v), (sub, v)
+                    answers.add((got, rank(sub) < cone.n))
+    assert answers == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_in_relint_requires_a_strongly_convex_cone():
+    with pytest.raises(NotStronglyConvex):
+        in_relint([(1, 0), (-1, 0)], (0, 0))
+    with pytest.raises(NotStronglyConvex):
+        in_relint([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], (0, 0, 0))
+    with pytest.raises(ZeroVector):
+        in_relint([(1, 0), (0, 0)], (1, 0))
+    assert in_relint([], (0, 0)) and not in_relint([], (1, 0))

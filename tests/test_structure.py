@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 import toricmld as t
-from toricmld.cones import in_relint
-from toricmld.errors import NotFullDimensional, NotInteriorPoint, TooManyRays
+from toricmld.errors import InternalError, NotFullDimensional, NotInteriorPoint, TooManyRays
 from toricmld.linalg import rank
-from toricmld.structure import FullDimSubcone, Simplicial, SpanningPair
+from toricmld.structure import Decomposition, FullDimSubcone, Simplicial, SpanningPair, _validate_decomposition
+
+from lp_reference import in_relint
 
 F = Fraction
 
@@ -163,11 +164,12 @@ def test_blowup_report_examples():
     assert rep.sigma0.rays == ((0, 1), (1, 0))
     assert rep.k_values == (1, 1)
     assert rep.group_order == 1 and rep.coarse_order == 1
+    assert rep.pi1_order == 1
 
     g = t.make_germ(t.make_cone(2, [(0, 1), (5, 1)]))
     d = t.decompose(g, (1, 1))
     rep = t.blowup_report(g, d)
-    assert rep.coarse_order >= t.pi1_reg(g).order == 5
+    assert rep.coarse_order >= rep.pi1_order == t.pi1_reg(g).order == 5
 
     g = t.make_germ(FOURRAY)
     d = t.decompose(g, (1, 1, 0))
@@ -210,3 +212,24 @@ def test_decompose_100_random_cones_at_minimizers():
         assert rep.coarse_order >= t.pi1_reg(g).order
         max_weight[g.dim] = max(max_weight.get(g.dim, 0), d.total_weight)
     print(f"max decomposition weight by dimension: {max_weight}")
+
+
+def test_validate_decomposition_rejects_corrupted():
+    # each check is a real raise, so it also holds under python -O
+    g = t.make_germ(FOURRAY)
+    m = (1, 1, 0)
+    d = t.decompose(g, m)
+    _validate_decomposition(g, m, d)
+    rows = [list(row) for row in d.coefficients]
+    j = rows[0].index(0)
+    rows[0][j] = -1
+    signed = tuple(a - b for a, b in zip(d.vectors[0], FOURRAY.rays[j]))
+    corrupted = {
+        "not independent": Decomposition(d.k0, (d.vectors[0],) * 3, (d.coefficients[0],) * 3, 0),
+        "negative": Decomposition(d.k0, (signed,) + d.vectors[1:], tuple(map(tuple, rows)), 0),
+        "not its ray combination": Decomposition(d.k0, d.vectors, d.coefficients[::-1], 0),
+        "do not sum": Decomposition(d.k0 + 1, d.vectors, d.coefficients, 0),
+    }
+    for message, bad in corrupted.items():
+        with pytest.raises(InternalError, match=message):
+            _validate_decomposition(g, m, bad)
