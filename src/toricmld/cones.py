@@ -3,10 +3,11 @@
 A cone is stored by its primitive extremal rays together with an eagerly
 computed facet description (primitive inward normals).  The dual
 description is obtained by the double description method over exact
-rationals, processing one inequality at a time; extremality, membership
-and relative interiors are all read off the facets.  Cones that do not
-span the ambient space are handled by rebasing to a basis of span
-intersect Z^n and recursing in lower dimension.
+rationals, processing one inequality at a time; extremality and
+membership are read off the facets.  Relative interiors of ray subsets
+take one linear solve, and the facets only when the rays are dependent.
+Cones that do not span the ambient space are handled by rebasing to a
+basis of span intersect Z^n and recursing in lower dimension.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyInput, InternalError, NotFullRank, NotInCone, NotStronglyConvex
+from .errors import EmptyInput, InternalError, NotFullRank, NotInCone, NotStronglyConvex, ZeroVector
 from .linalg import IntVec, dot, mat_inverse, mat_mul, primitive, primitive_direction, rank, transpose
 
 
@@ -202,12 +203,25 @@ def membership(c: Cone, v: Sequence) -> Membership:
 def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
     """Is v in the relative interior of the cone the rays span?
 
-    The rays must span a strongly convex cone, as any subset of a strongly
-    convex cone's rays does; otherwise make_cone raises NotStronglyConvex
-    (rays containing a line) or ZeroVector (a zero ray).
+    One linear solve decides most cases: v outside the span of the rays
+    is not in the cone, and for independent rays (a simplicial cone) v is
+    interior iff its coordinates are all positive.  Only dependent rays
+    build the cone and ask the facets.
+
+    A zero ray raises ZeroVector.  The rays must span a strongly convex
+    cone, as any subset of a strongly convex cone's rays does; rays that
+    contain a line raise NotStronglyConvex, but only when v lies in their
+    span (otherwise the answer is False without building the cone).
     """
     if not rays:
         return all(x == 0 for x in v)
+    if not all(any(r) for r in rays):
+        raise ZeroVector("the zero vector has no primitive generator")
+    sol = linalg.solve_rational(transpose(rays), v)
+    if sol is linalg.INCONSISTENT:
+        return False
+    if sol is not linalg.UNDERDETERMINED:
+        return all(x > 0 for x in sol)
     return membership(make_cone(len(v), rays), v) is Membership.RELATIVE_INTERIOR
 
 

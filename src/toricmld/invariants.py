@@ -390,7 +390,11 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
     orbifold lattice, via Smith normal form.  For a full-dimensional
     cone the group is finite; otherwise the free rank is reported.
     """
-    ob = orbifold_lattice(germ)
+    return _pi1_in(germ, orbifold_lattice(germ))
+
+
+def _pi1_in(germ: ToricGerm, ob: LatticeBasis) -> FiniteAbelianGroup:
+    """pi1_reg(germ), given its orbifold lattice ob."""
     rows = []
     for ray in germ.cone.rays:
         c = express_in_basis(ob, ray)

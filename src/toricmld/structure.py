@@ -19,7 +19,6 @@ minimizer of the log discrepancy; nothing below uses minimality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .errors import (
     NotInteriorPoint,
     TooManyRays,
 )
-from .invariants import ToricGerm, log_disc_functional, orbifold_lattice, pi1_reg
+from .invariants import ToricGerm, log_disc_functional, orbifold_lattice
 from .linalg import det, dot, express_in_basis, rank, saturation_basis, solve_rational, transpose
 
 MAX_SUBSET_RAYS = 16
@@ -93,20 +92,28 @@ class BlowupReport:
 # ---------------------------------------------------------------------------
 
 
-def _subcone_index_sets(c: Cone, m) -> list[tuple[int, ...]]:
+def _proper_subsets(k: int):
+    """Nonempty proper subsets of range(k) as index tuples, lazily and in
+    lexicographic order: (0,), (0, 1), (0, 1, 2), ..., (0, 2), ..."""
+
+    def walk(prefix, start):
+        for i in range(start, k):
+            idx = prefix + (i,)
+            if len(idx) < k:
+                yield idx
+            yield from walk(idx, i + 1)
+
+    return walk((), 0)
+
+
+def _subcone_index_sets(c: Cone, m):
     """Index sets of proper ray subsets whose cone keeps m in its relative
-    interior, in lexicographic order."""
+    interior, lazily and in lexicographic order.  The ray count is checked
+    before any subset is tested."""
     k = len(c.rays)
     if k > MAX_SUBSET_RAYS:
         raise TooManyRays(f"{k} rays; subset enumeration is capped at {MAX_SUBSET_RAYS}")
-    hits = []
-    for size in range(1, k):
-        for idx in itertools.combinations(range(k), size):
-            rays = [c.rays[i] for i in idx]
-            if in_relint(rays, m):
-                hits.append(idx)
-    hits.sort()
-    return hits
+    return (idx for idx in _proper_subsets(k) if in_relint([c.rays[i] for i in idx], m))
 
 
 def subcones_containing(c: Cone, m: Sequence[int]) -> list[Cone]:
@@ -134,7 +141,9 @@ def _tau_containing_ray(c: Cone, m, rho) -> Cone:
     if is_simplicial(face_cone):
         chosen = face_cone.rays
     else:
-        idx = _subcone_index_sets(face_cone, m2)[0]
+        idx = next(_subcone_index_sets(face_cone, m2), None)
+        if idx is None:
+            raise InternalError("a non-simplicial face has no sub-cone through the descent point")
         chosen = tuple(face_cone.rays[i] for i in idx)
     return make_cone(c.n, (tuple(rho),) + chosen)
 
@@ -147,13 +156,16 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
         raise NotInteriorPoint(f"{tuple(m)} is not an interior point")
     if is_simplicial(c):
         return Simplicial()
-    index_sets = _subcone_index_sets(c, m)
-    if not index_sets:
+    first = None
+    for idx in _subcone_index_sets(c, m):
+        rays = [c.rays[i] for i in idx]
+        if rank(rays) == c.n:
+            return FullDimSubcone(make_cone(c.n, rays))
+        if first is None:
+            first = rays
+    if first is None:
         raise InternalError("a non-simplicial cone always admits such a sub-cone")
-    for idx in index_sets:
-        if rank([c.rays[i] for i in idx]) == c.n:
-            return FullDimSubcone(make_cone(c.n, [c.rays[i] for i in idx]))
-    tau1 = make_cone(c.n, [c.rays[i] for i in index_sets[0]])
+    tau1 = make_cone(c.n, first)
     while True:
         rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > rank(tau1.rays))
         tau2 = _tau_containing_ray(c, m, rho)
@@ -197,18 +209,18 @@ def _rebase_to_span(rays, m, n):
     return [down(r) for r in rays], down(m), len(sat), up
 
 
-def _decompose_rec(rays, m, n):
+def _decompose_rec(cone: Cone, m):
     """Decomposition for a cone that is full-dimensional in Q^n."""
-    cone = make_cone(n, list(rays))
+    n = cone.n
     tri = trichotomy(cone, m)
     if isinstance(tri, Simplicial):
         return _simplicial_decomposition(cone, m)
     if isinstance(tri, FullDimSubcone):
-        return _decompose_rec(tri.tau.rays, m, n)
+        return _decompose_rec(tri.tau, m)
     parts = []
     for tau in (tri.tau1, tri.tau2):
         sub_rays, sub_m, d, up = _rebase_to_span(tau.rays, m, n)
-        k0_t, vecs_t, grids_t = _decompose_rec(sub_rays, sub_m, d)
+        k0_t, vecs_t, grids_t = _decompose_rec(make_cone(d, sub_rays), sub_m)
         vecs = [up(v) for v in vecs_t]
         grids = [{up(r): k for r, k in g.items()} for g in grids_t]
         parts.append((k0_t, vecs, grids))
@@ -251,7 +263,7 @@ def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
     m_c = express_in_basis(germ.lattice, m)
     if m_c is None or membership(rb.cone, m_c) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"{tuple(m)} is not an interior lattice point")
-    k0, vecs_c, grids = _decompose_rec(rb.cone.rays, m_c, germ.dim)
+    k0, vecs_c, grids = _decompose_rec(rb.cone, m_c)
     amb_of = {r: rb.to_ambient(r) for r in rb.cone.rays}
     col = {amb: j for j, amb in enumerate(germ.cone.rays)}
     vectors = []
@@ -316,7 +328,7 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
         k_values.append(ldf(amb))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
-    pi1_order = pi1_reg(germ).order
+    pi1_order = invariants._pi1_in(germ, ob).order
     if coarse < pi1_order:
         raise InternalError(f"coarse order {coarse} is below |pi1_reg| = {pi1_order}")
     sigma0 = make_cone(n, [linalg.primitive_direction(v) for v in prim_ambient])

@@ -1,11 +1,20 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import toricmld as t
 from toricmld.errors import InternalError, NotFullDimensional, NotInteriorPoint, TooManyRays
-from toricmld.linalg import rank
-from toricmld.structure import Decomposition, FullDimSubcone, Simplicial, SpanningPair, _validate_decomposition
+from toricmld.linalg import dot, rank
+from toricmld.structure import (
+    Decomposition,
+    FullDimSubcone,
+    Simplicial,
+    SpanningPair,
+    _subcone_index_sets,
+    _tau_containing_ray,
+    _validate_decomposition,
+)
 
 from lp_reference import in_relint
 
@@ -54,6 +63,8 @@ def test_subcones_errors():
     interior = tuple(sum(col) for col in zip(*cone17.rays))
     with pytest.raises(TooManyRays):
         t.subcones_containing(cone17, interior)
+    with pytest.raises(TooManyRays):
+        t.trichotomy(cone17, interior)
 
 
 def _revalidate(cone, m, res):
@@ -83,6 +94,76 @@ def test_trichotomy_examples():
     assert isinstance(res, FullDimSubcone)
     assert set(res.tau.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     _revalidate(FOURRAY, (2, 2, 1), res)
+
+
+def _eager_index_sets(c, m):
+    """Reference: test every proper subset by the facets of its own cone,
+    then sort the hits."""
+    k = len(c.rays)
+    hits = []
+    for size in range(1, k):
+        for idx in itertools.combinations(range(k), size):
+            sub = t.make_cone(c.n, [c.rays[i] for i in idx])
+            if t.membership(sub, m) is t.Membership.RELATIVE_INTERIOR:
+                hits.append(idx)
+    return sorted(hits)
+
+
+def _eager_tau_containing_ray(c, m, rho):
+    ratios = [F(dot(f, m), dot(f, rho)) for f in c.facets if dot(f, rho) > 0]
+    lam = min(ratios)
+    m2 = tuple(F(x) - lam * r for x, r in zip(m, rho))
+    face_cone = t.minimal_face_containing(c, m2).as_cone()
+    if t.is_simplicial(face_cone):
+        chosen = face_cone.rays
+    else:
+        chosen = tuple(face_cone.rays[i] for i in _eager_index_sets(face_cone, m2)[0])
+    return t.make_cone(c.n, (tuple(rho),) + chosen)
+
+
+def _eager_trichotomy(c, m):
+    """Reference: all hits first, then the first full-rank one, else the
+    spanning-pair walk from the first one."""
+    if t.is_simplicial(c):
+        return Simplicial()
+    hits = [[c.rays[i] for i in idx] for idx in _eager_index_sets(c, m)]
+    full = [rays for rays in hits if rank(rays) == c.n]
+    if full:
+        return FullDimSubcone(t.make_cone(c.n, full[0]))
+    tau1 = t.make_cone(c.n, hits[0])
+    while True:
+        rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > rank(tau1.rays))
+        tau2 = _eager_tau_containing_ray(c, m, rho)
+        if rank(tau1.rays + tau2.rays) == c.n:
+            return SpanningPair(tau1, tau2)
+        tau1 = t.make_cone(c.n, tau1.rays + tau2.rays)
+
+
+def test_lazy_subset_search_agrees_with_eager_reference():
+    # random non-simplicial cones, probed at the ray sum and at the
+    # interior sums of two rays (which often lie on an inner wall and need
+    # a spanning pair): the lazy search yields the hits in sorted order,
+    # and trichotomy and _tau_containing_ray return the same cones as the
+    # eager reference
+    from conftest import height_cone_germ
+
+    cones = [height_cone_germ(3, s).cone for s in range(8)]
+    cones += [height_cone_germ(4, s, spread=1).cone for s in range(3)]
+    seen = set()
+    for c in cones:
+        points = [tuple(sum(col) for col in zip(*c.rays))]
+        for r1, r2 in itertools.combinations(c.rays, 2):
+            m = tuple(a + b for a, b in zip(r1, r2))
+            if t.membership(c, m) is t.Membership.RELATIVE_INTERIOR:
+                points.append(m)
+        for m in points[:4]:
+            assert list(_subcone_index_sets(c, m)) == _eager_index_sets(c, m)
+            got = t.trichotomy(c, m)
+            assert got == _eager_trichotomy(c, m), (c, m)
+            seen.add(type(got))
+            for rho in c.rays:
+                assert _tau_containing_ray(c, m, rho) == _eager_tau_containing_ray(c, m, rho)
+    assert seen == {FullDimSubcone, SpanningPair}
 
 
 def test_trichotomy_errors():
