@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import lab, oracle, structure
-from .errors import ParseError, ToricError
+from .errors import ParseError, ToricError, ValidationError
 from .germio import coord_out, format_q, germ_doc, parse_germ
 from .invariants import count_window, mld, pi1_reg
 
@@ -38,8 +38,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"{text!r} is not a rational 'p/q'") from exc
 
 
-def _parse_point(text: str):
-    return tuple(_parse_fraction(part.strip()) for part in text.split(","))
+def _parse_point(text: str, dim: int):
+    point = tuple(_parse_fraction(part.strip()) for part in text.split(","))
+    if len(point) != dim:
+        raise ValidationError(f"--point has {len(point)} coordinates; the germ has dimension {dim}")
+    return point
 
 
 def _point_out(p):
@@ -163,7 +166,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_trichotomy(args) -> dict:
     germ = _load_germ(args.germ)
-    m = _parse_point(args.point)
+    m = _parse_point(args.point, germ.dim)
     if any(x.denominator != 1 for x in m):
         raise ParseError("trichotomy points must have integer coordinates")
     res = structure.trichotomy(germ.cone, tuple(int(x) for x in m))
@@ -180,7 +183,7 @@ def _cmd_trichotomy(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     germ = _load_germ(args.germ)
-    m = _parse_point(args.point)
+    m = _parse_point(args.point, germ.dim)
     d = structure.decompose(germ, m)
     return {
         "k0": d.k0,

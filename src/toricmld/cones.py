@@ -2,12 +2,13 @@
 
 A cone is stored by its primitive extremal rays together with an eagerly
 computed facet description (primitive inward normals).  The dual
-description is obtained by the double description method over exact
-rationals, processing one inequality at a time; extremality and
-membership are read off the facets.  Relative interiors of ray subsets
-take one linear solve, and the facets only when the rays are dependent.
-Cones that do not span the ambient space are handled by rebasing to a
-basis of span intersect Z^n and recursing in lower dimension.
+description is obtained by the double description method in integers:
+it starts from the simplicial cone of n independent generators and adds
+the others one inequality at a time.  Extremality and membership are
+read off the facets.  Relative interiors of ray subsets take one linear
+solve, and the facets only when the rays are dependent.  Cones that do
+not span the ambient space are handled by rebasing to a basis of span
+intersect Z^n and recursing in lower dimension.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyInput, InternalError, NotFullRank, NotInCone, NotStronglyConvex, ZeroVector
-from .linalg import IntVec, dot, mat_inverse, mat_mul, primitive, primitive_direction, rank, transpose
+from .errors import EmptyInput, NotFullRank, NotInCone, NotStronglyConvex, ZeroVector
+from .linalg import IntVec, dot, mat_mul, mat_vec, primitive, primitive_direction, rank, transpose
 
 
 class Membership(Enum):
@@ -74,34 +75,24 @@ class Face:
 # double description
 
 
-def _double_description(n: int, ineqs: Sequence[IntVec]):
-    """Extreme rays and lineality basis of {y : a . y >= 0 for all a}.
+def _double_description(ineqs: Sequence[IntVec], start: Sequence[int]):
+    """Extreme rays of {y : a . y >= 0 for every row a of ineqs}.
 
-    Incremental over the inequalities; rays carry the bitmask of the
-    inequalities they satisfy with equality, which feeds the standard
-    combinatorial adjacency test.
+    ``start`` indexes n independent rows B, with n the ambient dimension.
+    cone(B) is simplicial, so its dual's rays y_j solve B . y_j = e_j, and
+    y_j is tight on every row of B but row j.  The other rows are then
+    added one at a time; rays carry the bitmask of the rows they satisfy
+    with equality, which feeds the standard combinatorial adjacency test.
     """
-    lineality = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    n = len(start)
+    b = [ineqs[i] for i in start]
+    tight = sum(1 << i for i in start)
     rays: list[tuple[IntVec, int]] = []
+    for j, i in enumerate(start):
+        y = linalg.solve_rational(b, [int(k == j) for k in range(n)])
+        rays.append((primitive_direction(y), tight & ~(1 << i)))
     for idx, a in enumerate(ineqs):
-        hit = next((i for i, l in enumerate(lineality) if dot(a, l) != 0), None)
-        if hit is not None:
-            l0 = lineality.pop(hit)
-            v0 = dot(a, l0)
-            if v0 < 0:
-                l0 = tuple(-x for x in l0)
-                v0 = -v0
-            lineality = [
-                tuple(lx - Fraction(dot(a, l), v0) * l0x for lx, l0x in zip(l, l0))
-                for l in lineality
-            ]
-            new_rays = []
-            for r, z in rays:
-                rv = dot(a, r)
-                vec = tuple(Fraction(rx) - Fraction(rv, v0) * l0x for rx, l0x in zip(r, l0))
-                new_rays.append((primitive_direction(vec), z | (1 << idx)))
-            new_rays.append((primitive_direction(l0), (1 << idx) - 1))
-            rays = new_rays
+        if tight >> idx & 1:
             continue
         pos = [(r, z) for r, z in rays if dot(a, r) > 0]
         zero = [(r, z | (1 << idx)) for r, z in rays if dot(a, r) == 0]
@@ -127,19 +118,16 @@ def _double_description(n: int, ineqs: Sequence[IntVec]):
                 seen.add(r)
                 merged.append((r, z))
         rays = merged
-    return [r for r, _ in rays], lineality
+    return [r for r, _ in rays]
 
 
 def _lift_normals(inner_facets, span_basis):
     """Pull facet normals computed in span coordinates back to the ambient
-    space: h = h' . (B B^T)^-1 . B evaluates like h' on span points."""
-    g = mat_mul(span_basis, transpose(span_basis))
-    m = mat_mul(mat_inverse(g), span_basis)
-    lifted = []
-    for h in inner_facets:
-        amb = tuple(sum(Fraction(h[i]) * m[i][j] for i in range(len(h))) for j in range(len(m[0])))
-        lifted.append(primitive_direction(amb))
-    return lifted
+    space: h = h' . (B B^T)^-1 . B evaluates like h' on span points.  The
+    Gram matrix B B^T is symmetric, so each normal takes one solve."""
+    cols = transpose(span_basis)
+    gram = mat_mul(span_basis, cols)
+    return [primitive_direction(mat_vec(cols, linalg.solve_rational(gram, h))) for h in inner_facets]
 
 
 def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
@@ -152,32 +140,22 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     if not generators:
         raise EmptyInput("a cone needs at least one generator")
     prims = sorted({primitive(g) for g in generators})
-    r = rank(prims)
-    if r < n:
+    basis = linalg.independent_rows(prims)
+    if len(basis) < n:
         sat = linalg.saturation_basis(prims, n)
-        coords = [_span_coords(sat, p) for p in prims]
+        coords = [linalg.echelon_coords(sat, p) for p in prims]
         if None in coords:
             raise NotFullRank("generator outside the saturated span")
-        inner = make_cone(r, coords)
+        inner = make_cone(len(basis), coords)
         out_rays = tuple(sorted(tuple(dot(c, col) for col in zip(*sat)) for c in inner.rays))
         out_facets = tuple(sorted(_lift_normals(inner.facets, sat)))
         return Cone(n, out_rays, out_facets, inner.dim, span=sat)
-    dual_rays, lin = _double_description(n, prims)
-    if lin:
-        raise InternalError("full-rank generators left a lineality space in the dual")
+    dual_rays = _double_description(prims, basis)
     if rank(dual_rays) < n:
         raise NotStronglyConvex("cone contains a line")
     # incidence test: a generator is extremal iff the facets tight at it have rank n - 1
     extremal = [p for p in prims if rank([f for f in dual_rays if dot(f, p) == 0]) == n - 1]
     return Cone(n, tuple(extremal), tuple(sorted(dual_rays)), n, span=None)
-
-
-def _span_coords(sat_rows, v) -> IntVec | None:
-    """Integer coordinates of v in the saturated span basis, if any."""
-    sol = _rational_span_coords(sat_rows, v)
-    if sol is None or any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -190,7 +168,7 @@ def dual_cone(c: Cone) -> Cone:
 
 def membership(c: Cone, v: Sequence) -> Membership:
     v = tuple(Fraction(x) for x in v)
-    if c.span is not None and _rational_span_coords(c.span, v) is None:
+    if c.span is not None and linalg.solve_rational(transpose(c.span), v) is linalg.INCONSISTENT:
         return Membership.OUTSIDE
     vals = [dot(f, v) for f in c.facets]
     if any(x < 0 for x in vals):
@@ -223,11 +201,6 @@ def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
     if sol is not linalg.UNDERDETERMINED:
         return all(x > 0 for x in sol)
     return membership(make_cone(len(v), rays), v) is Membership.RELATIVE_INTERIOR
-
-
-def _rational_span_coords(sat_rows, v):
-    sol = linalg.solve_rational(transpose(sat_rows), v)
-    return sol if isinstance(sol, tuple) else None
 
 
 def is_simplicial(c: Cone) -> bool:

@@ -153,14 +153,6 @@ class _Rebased:
         """Numerator of L at the ray sum, an interior lattice point."""
         return sum(dot(self.l_num, ray) for ray in self.cone.rays)
 
-    def to_ambient(self, c: Sequence[int]) -> Point:
-        if self.basis.is_standard:
-            return tuple(int(x) for x in c)
-        out = []
-        for j in range(self.basis.dim):
-            out.append(sum(Fraction(c[i]) * self.basis.rows[i][j] for i in range(len(c))))
-        return tuple(int(x) if x.denominator == 1 else x for x in out)
-
 
 def _rebased(germ: ToricGerm) -> _Rebased:
     ldf = log_disc_functional(germ)
@@ -333,7 +325,7 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
     value = min(v for _, v in pts)
-    minimizers = sorted(rb.to_ambient(p) for p, v in pts if v == value)
+    minimizers = sorted(rb.basis.to_ambient(p) for p, v in pts if v == value)
     return MldResult(Fraction(value, rb.den), tuple(minimizers), b)
 
 
@@ -347,7 +339,7 @@ def count_window(germ: ToricGerm, low, high) -> WindowCount:
     lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
     pts = _interior_points_upto(rb, hi_num - 1)
     kept = sorted(
-        (rb.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
+        (rb.basis.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
     )
     return WindowCount(lo, hi, tuple(kept), len(kept))
 

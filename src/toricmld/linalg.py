@@ -1,10 +1,14 @@
 """Exact integer and rational linear algebra.
 
-Vectors are tuples and matrices are tuples of row tuples.  Integer
-routines (gcd normalisation, Hermite and Smith normal forms) stay in
-``int`` arithmetic with unimodular transforms tracked explicitly;
-everything else runs on ``fractions.Fraction``.  Nothing here ever
-touches floating point.
+Vectors are tuples and matrices are tuples of row tuples.  Rank,
+determinants, linear solves and independent row sets read their answers
+off one fraction-free (Bareiss) elimination over ``int`` rows; a row of
+``fractions.Fraction`` is first scaled by the lcm of its denominators.
+Hermite and Smith normal forms stay in ``int`` arithmetic with their
+unimodular transforms tracked explicitly, and coordinates in an echelon
+basis (a lattice's Hermite form, a saturated span) come by substitution.
+Fractions appear only in rational answers and inputs.  Nothing here
+ever touches floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalError, NotFullRank, ZeroVector
+from .errors import InternalError, NotFullRank, ValidationError, ZeroVector
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -86,63 +90,71 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def rank(a) -> int:
-    """Rank over the rationals, by Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+def _integer_row(row) -> tuple[int, list[int]]:
+    """(d, d * row) with d the lcm of the row's denominators, so that
+    d * row is a list of ints (d is 1 for a row of ints)."""
+    d = math.lcm(*[x.denominator for x in row])
+    return d, [(x * d).numerator for x in row]
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) forward elimination of integer rows, in place.
+
+    Returns the pivot columns and the sign of the row permutation.  Row k
+    of the result has its leading entry in the k-th pivot column, and the
+    rows past the rank are zero.  Every entry stays an integer minor of
+    the input (Sylvester's identity makes each division exact), and the
+    k-th pivot is the minor on the first k + 1 pivot rows and columns:
+    the last pivot of a square nonsingular matrix is its determinant, up
+    to the sign.  Outside ``oracle``, this is the package's one Gaussian
+    elimination.
+    """
+    m = len(rows)
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def rank(a) -> int:
+    """Rank over the rationals."""
+    rows = [_integer_row(row)[1] for row in a]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
+
+
+def independent_rows(a) -> tuple[int, ...]:
+    """Indices of the earliest maximal independent set of rows: row i is
+    kept iff it is independent of the rows before it.  They are the pivot
+    columns of the transpose."""
+    cols = [_integer_row(col)[1] for col in transpose(a)]
+    return tuple(_eliminate(cols, len(a))[0])
 
 
 def det(a) -> Fraction:
-    rows = [[Fraction(x) for x in row] for row in a]
-    n = len(rows)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[c][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
-def mat_inverse(a) -> tuple[RatVec, ...]:
-    """Exact inverse of a square nonsingular matrix."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            raise NotFullRank("matrix is singular")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv_p = 1 / rows[c][c]
-        rows[c] = [x * inv_p for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return tuple(tuple(row[n:]) for row in rows)
+    scaled = [_integer_row(row) for row in a]
+    rows = [row for _, row in scaled]
+    pivots, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[n - 1][n - 1] if n else 1, math.prod(d for d, _ in scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +185,52 @@ def solve_rational(a, b):
     Returns the unique solution as a tuple of Fractions, or the
     INCONSISTENT / UNDERDETERMINED sentinel.  Inconsistency wins over
     underdetermination: a system with no solutions is reported as
-    inconsistent even when its coefficient rank is deficient.
+    inconsistent even when its coefficient rank is deficient.  Ragged
+    rows, or a right-hand side whose length is not the number of rows,
+    raise ValidationError.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = 1 / aug[r][c]
-        aug[r] = [x * inv_p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return INCONSISTENT
-    if r < n:
+    if len(b) != m or any(len(row) != n for row in a):
+        raise ValidationError(f"{len(b)} right-hand sides for {m} equations, or ragged rows")
+    rows = [_integer_row((*row, rhs))[1] for row, rhs in zip(a, b)]
+    pivots, _ = _eliminate(rows, n + 1)
+    if pivots and pivots[-1] == n:  # a pivot in the right-hand side column
+        return INCONSISTENT
+    if len(pivots) < n:
         return UNDERDETERMINED
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][n]
-    return tuple(x)
+    # rows[:n] are upper triangular and their last pivot d is the
+    # determinant of the equations they came from, so by Cramer's rule
+    # d * x is integral and the back substitution divides exactly
+    d = rows[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(x, d) for x in y)
+
+
+def echelon_coords(rows, v) -> IntVec | None:
+    """Integer coordinates c with c . rows = v, or None if there are none.
+
+    ``rows`` is an integer basis in echelon form, each row's leading entry
+    strictly right of the one above (a Hermite normal form is one).  The
+    coordinates come one pivot column at a time, by substitution with a
+    remainder test; the other columns are then checked.
+    """
+    c = []
+    pivots = []
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[p] - sum(ck * rows[k][p] for k, ck in enumerate(c)), row[p])
+        if rem:
+            return None
+        c.append(q)
+        pivots.append(p)
+    for j, x in enumerate(v):
+        if j not in pivots and sum(ck * row[j] for ck, row in zip(c, rows)) != x:
+            return None
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +417,16 @@ def saturation_basis(rows, n: int) -> tuple[IntVec, ...]:
     rank-many rows of V^-1 span the saturation.
     """
     res = snf(rows)
-    r = res.rank
-    vinv = mat_inverse(res.V)
     basis = []
-    for i in range(r):
-        row = vinv[i]
+    vt = transpose(res.V)
+    for i in range(res.rank):
+        # row i of V^-1 solves x . V = e_i
+        row = solve_rational(vt, [int(i == j) for j in range(n)])
         if any(x.denominator != 1 for x in row):
             raise InternalError("the inverse of a unimodular Smith transform is not integral")
-        basis.append(tuple(int(x) for x in row))
+        basis.append(tuple(x.numerator for x in row))
     h, _ = hnf(basis)
-    return tuple(h[i] for i in range(r))
+    return tuple(h[: res.rank])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +438,9 @@ class LatticeBasis:
     """Full-rank lattice in Q^dim, stored over one common denominator.
 
     ``num`` holds den * basis rows in Hermite normal form, so equal
-    lattices always get identical representations.
+    lattices always get identical representations.  It is square and of
+    full rank, hence upper triangular with its positive pivots on the
+    diagonal; ``express_in_basis`` relies on that.
     """
 
     dim: int
@@ -427,6 +458,13 @@ class LatticeBasis:
     @property
     def is_standard(self) -> bool:
         return self.den == 1 and self.num == identity(self.dim)
+
+    def to_ambient(self, c: Sequence[int]) -> tuple:
+        """The point with integer coordinates c in this basis, in Q^dim,
+        with ints where the coordinates are integral."""
+        den = self.den
+        xs = (dot(c, col) for col in zip(*self.num))
+        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in xs)
 
     def covolume(self) -> Fraction:
         """|det| of the basis; 1/covolume is the index over Z^dim when finite."""
@@ -455,19 +493,12 @@ def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
     return LatticeBasis(dim, num, d // g)
 
 
-def coords_in_basis(basis: LatticeBasis, v: Sequence) -> RatVec:
-    """Rational coordinates c with c . basis = v (basis is square, full rank)."""
-    a = transpose(basis.rows)
-    sol = solve_rational(a, tuple(Fraction(x) for x in v))
-    if not isinstance(sol, tuple):
-        raise InternalError("a full-rank square lattice basis gave no unique coordinates")
-    return sol
-
-
 def express_in_basis(basis: LatticeBasis, v: Sequence):
     """Integer coordinates of v in the lattice basis, or None if v is not
-    a lattice point."""
-    c = coords_in_basis(basis, v)
-    if any(x.denominator != 1 for x in c):
+    a lattice point.  A v of the wrong length raises ValidationError."""
+    if len(v) != basis.dim:
+        raise ValidationError(f"a point of length {len(v)} in dimension {basis.dim}")
+    scaled = [basis.den * x for x in v]
+    if any(x.denominator != 1 for x in scaled):
         return None
-    return tuple(int(x) for x in c)
+    return echelon_coords(basis.num, [x.numerator for x in scaled])

@@ -198,10 +198,10 @@ def _rebase_to_span(rays, m, n):
     cols = list(zip(*sat))
 
     def down(v):
-        sol = solve_rational(transpose(sat), v)
-        if not isinstance(sol, tuple) or any(x.denominator != 1 for x in sol):
+        c = linalg.echelon_coords(sat, v)
+        if c is None:
             raise InternalError(f"{tuple(v)} has no integer coordinates in the saturated span")
-        return tuple(int(x) for x in sol)
+        return c
 
     def up(v):
         return tuple(dot(v, col) for col in cols)
@@ -264,12 +264,12 @@ def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
     if m_c is None or membership(rb.cone, m_c) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"{tuple(m)} is not an interior lattice point")
     k0, vecs_c, grids = _decompose_rec(rb.cone, m_c)
-    amb_of = {r: rb.to_ambient(r) for r in rb.cone.rays}
+    amb_of = {r: rb.basis.to_ambient(r) for r in rb.cone.rays}
     col = {amb: j for j, amb in enumerate(germ.cone.rays)}
     vectors = []
     coefficients = []
     for v, g in zip(vecs_c, grids):
-        vectors.append(rb.to_ambient(v))
+        vectors.append(rb.basis.to_ambient(v))
         row = [0] * len(germ.cone.rays)
         for r, k in g.items():
             row[col[amb_of[r]]] = k
@@ -321,9 +321,7 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
         raw_coords.append(c)
         c0 = linalg.primitive(c)
         prim_coords.append(c0)
-        amb = tuple(
-            sum(Fraction(c0[i]) * ob.rows[i][j] for i in range(n)) for j in range(n)
-        )
+        amb = ob.to_ambient(c0)
         prim_ambient.append(amb)
         k_values.append(ldf(amb))
     coarse = abs(int(det(raw_coords)))

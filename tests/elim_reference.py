@@ -1,0 +1,180 @@
+"""Gaussian elimination over ``fractions.Fraction``: the references the
+fraction-free kernel in ``toricmld.linalg`` is checked against.
+
+These are the package's earlier ``rank``, ``det``, ``solve_rational``,
+``express_in_basis`` (through ``coords_in_basis``) and the double
+description that starts from an identity lineality space, kept so the
+tests can compare the integer paths with them.  Nothing in ``src/``
+imports this module, and its checks raise rather than assert, so they
+hold under ``python -O`` too.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Sequence
+
+from toricmld.errors import InternalError
+from toricmld.linalg import (
+    INCONSISTENT,
+    UNDERDETERMINED,
+    IntVec,
+    LatticeBasis,
+    RatVec,
+    dot,
+    primitive,
+    primitive_direction,
+    transpose,
+)
+
+
+def rank(a) -> int:
+    """Rank over the rationals, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    if not rows:
+        return 0
+    n = len(rows[0])
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def det(a) -> Fraction:
+    rows = [[Fraction(x) for x in row] for row in a]
+    n = len(rows)
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def solve_rational(a, b):
+    """Solve the linear system row_i . x = b_i exactly.
+
+    Returns the unique solution as a tuple of Fractions, or the
+    INCONSISTENT / UNDERDETERMINED sentinel.  Inconsistency wins over
+    underdetermination: a system with no solutions is reported as
+    inconsistent even when its coefficient rank is deficient.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv_p = 1 / aug[r][c]
+        aug[r] = [x * inv_p for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return INCONSISTENT
+    if r < n:
+        return UNDERDETERMINED
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivot_cols):
+        x[c] = aug[i][n]
+    return tuple(x)
+
+
+def coords_in_basis(basis: LatticeBasis, v: Sequence) -> RatVec:
+    """Rational coordinates c with c . basis = v (basis is square, full rank)."""
+    a = transpose(basis.rows)
+    sol = solve_rational(a, tuple(Fraction(x) for x in v))
+    if not isinstance(sol, tuple):
+        raise InternalError("a full-rank square lattice basis gave no unique coordinates")
+    return sol
+
+
+def express_in_basis(basis: LatticeBasis, v: Sequence):
+    """Integer coordinates of v in the lattice basis, or None if v is not
+    a lattice point."""
+    c = coords_in_basis(basis, v)
+    if any(x.denominator != 1 for x in c):
+        return None
+    return tuple(int(x) for x in c)
+
+
+def double_description(n: int, ineqs: Sequence[IntVec]):
+    """Extreme rays and lineality basis of {y : a . y >= 0 for all a}.
+
+    Incremental over the inequalities; rays carry the bitmask of the
+    inequalities they satisfy with equality, which feeds the standard
+    combinatorial adjacency test.
+    """
+    lineality = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    rays: list[tuple[IntVec, int]] = []
+    for idx, a in enumerate(ineqs):
+        hit = next((i for i, l in enumerate(lineality) if dot(a, l) != 0), None)
+        if hit is not None:
+            l0 = lineality.pop(hit)
+            v0 = dot(a, l0)
+            if v0 < 0:
+                l0 = tuple(-x for x in l0)
+                v0 = -v0
+            lineality = [
+                tuple(lx - Fraction(dot(a, l), v0) * l0x for lx, l0x in zip(l, l0))
+                for l in lineality
+            ]
+            new_rays = []
+            for r, z in rays:
+                rv = dot(a, r)
+                vec = tuple(Fraction(rx) - Fraction(rv, v0) * l0x for rx, l0x in zip(r, l0))
+                new_rays.append((primitive_direction(vec), z | (1 << idx)))
+            new_rays.append((primitive_direction(l0), (1 << idx) - 1))
+            rays = new_rays
+            continue
+        pos = [(r, z) for r, z in rays if dot(a, r) > 0]
+        zero = [(r, z | (1 << idx)) for r, z in rays if dot(a, r) == 0]
+        neg = [(r, z) for r, z in rays if dot(a, r) < 0]
+        if not neg:
+            rays = pos + zero
+            continue
+        created = []
+        for (p, zp), (q, zq) in itertools.product(pos, neg):
+            zc = zp & zq
+            adjacent = not any(
+                (z & zc) == zc for r, z in rays if r is not p and r is not q
+            )
+            if not adjacent:
+                continue
+            ap, aq = dot(a, p), dot(a, q)
+            vec = tuple(ap * qx - aq * px for px, qx in zip(p, q))
+            created.append((primitive(vec), (zc | (1 << idx))))
+        seen = set()
+        merged = []
+        for r, z in pos + zero + created:
+            if r not in seen:
+                seen.add(r)
+                merged.append((r, z))
+        rays = merged
+    return [r for r, _ in rays], lineality

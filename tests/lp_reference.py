@@ -75,7 +75,8 @@ def _lp_max(a_rows, b, c_obj):
 
     cost1 = [Fraction(0)] * n + [Fraction(-1)] * m + [Fraction(0)]
     status, val = optimise(cost1, set(range(total)))
-    assert status == "optimal"
+    if status != "optimal":  # phase 1 is bounded by 0; a raise survives python -O
+        raise RuntimeError(f"phase 1 of the simplex ended {status}")
     if val != 0:
         return "infeasible", None, None
     # drive artificials out of the basis where possible

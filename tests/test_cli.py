@@ -155,6 +155,17 @@ def test_cli_point_with_negative_first_coordinate(germ_file):
     assert code == 2
 
 
+def test_cli_point_of_the_wrong_length(germ_file):
+    path = germ_file({"dim": 3, "rays": [[0, 1, 1], [1, 0, 1], [1, 2, 1], [2, 2, 1]]})
+    for cmd in ("trichotomy", "decompose"):
+        for point in ("4,5,4,9", "4,5"):
+            code, out, err = run(cmd, path, f"--point={point}")
+            assert code == 1 and out == "", (cmd, point, err)
+            assert err.startswith("error: ValidationError: "), (cmd, point, err)
+        code, _, err = run(cmd, path, "--point=4,5,4")
+        assert code == 0, err
+
+
 def test_cli_bound_below_minimum(germ_file):
     path = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]})
     code, out, err = run("mld", path, "--bound", "1/2")

@@ -1,0 +1,199 @@
+"""The fraction-free elimination and the substitutions in ``toricmld.linalg``,
+and the double description that starts from a simplicial cone, checked
+against the ``Fraction`` versions they replaced (``elim_reference``)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import elim_reference as ref
+from toricmld import cones
+from toricmld.errors import ValidationError
+from toricmld.linalg import (
+    INCONSISTENT,
+    UNDERDETERMINED,
+    LatticeBasis,
+    det,
+    echelon_coords,
+    express_in_basis,
+    independent_rows,
+    lattice_from_generators,
+    rank,
+    saturation_basis,
+    solve_rational,
+)
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+def _matrix(draw, m, n):
+    rows = [tuple(draw(entries) for _ in range(n)) for _ in range(m)]
+    # rank deficiency: a row that is a combination of two others, or zero
+    if m >= 3 and draw(st.booleans()):
+        k = draw(entries)
+        rows[-1] = tuple(x + k * y for x, y in zip(rows[0], rows[1]))
+    if m >= 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = (0,) * n
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_rank_solve_and_independent_rows_match_the_reference(m, n, data):
+    a = _matrix(data.draw, m, n)
+    b = tuple(data.draw(entries) for _ in range(m))
+    assert rank(a) == ref.rank(a)
+    assert solve_rational(a, b) == ref.solve_rational(a, b)
+    # the earliest maximal independent rows, by greedy rank tests
+    kept = []
+    for i, row in enumerate(a):
+        if ref.rank([a[k] for k in kept] + [row]) > len(kept):
+            kept.append(i)
+    assert independent_rows(a) == tuple(kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_det_matches_the_reference(n, data):
+    a = _matrix(data.draw, n, n)
+    assert det(a) == ref.det(a)
+    assert isinstance(det(a), Fraction)
+
+
+def test_solve_outcomes_and_edge_cases():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(600):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m)]
+        b = tuple(rng.randint(-2, 2) for _ in range(m))
+        sol = solve_rational(a, b)
+        assert sol == ref.solve_rational(a, b)
+        outcomes.add(sol if sol in (INCONSISTENT, UNDERDETERMINED) else "unique")
+    assert outcomes == {INCONSISTENT, UNDERDETERMINED, "unique"}
+    # empty systems and systems without unknowns
+    assert solve_rational([], []) == ref.solve_rational([], []) == ()
+    assert solve_rational([(), ()], (0, 0)) == ()
+    assert solve_rational([(), ()], (0, 1)) is INCONSISTENT
+    assert rank([]) == rank([()]) == 0 and independent_rows([]) == ()
+    assert det([]) == ref.det([]) == 1
+    # a pivot in the right-hand side wins over a rank deficiency
+    assert solve_rational([(1, 1), (2, 2)], (1, 3)) is INCONSISTENT
+    assert solve_rational([(1, 1), (2, 2)], (1, 2)) is UNDERDETERMINED
+
+
+def test_solve_rejects_shape_mismatches():
+    with pytest.raises(ValidationError):
+        solve_rational([(1, 0), (0, 1)], (1, 2, 3))
+    with pytest.raises(ValidationError):
+        solve_rational([(1, 0), (0, 1)], (1,))
+    with pytest.raises(ValidationError):
+        solve_rational([(1, 0), (0, 1, 2)], (1, 2))
+
+
+def _random_lattice(rng, n):
+    gens = [
+        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+        for _ in range(rng.randint(0, 3))
+    ]
+    return lattice_from_generators(n, gens), gens
+
+
+def test_express_in_basis_matches_the_reference():
+    rng = random.Random(5)
+    found = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        basis, gens = _random_lattice(rng, n)
+        num = basis.num
+        assert all(num[i][j] == 0 for i in range(n) for j in range(i))  # upper triangular
+        coeffs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
+        lattice_points = [basis.to_ambient(c) for c in coeffs]
+        others = [
+            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n))
+            for _ in range(3)
+        ]
+        for v in gens + lattice_points + others:
+            got = express_in_basis(basis, v)
+            assert got == ref.express_in_basis(basis, v)
+            found[got is not None] += 1
+        for c, v in zip(coeffs, lattice_points):
+            assert express_in_basis(basis, v) == c
+        with pytest.raises(ValidationError):
+            express_in_basis(basis, (0,) * (n + 1))
+    assert all(found.values()), found
+
+
+def test_to_ambient_returns_ints_where_integral():
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        basis, _ = _random_lattice(rng, n)
+        c = tuple(rng.randint(-4, 4) for _ in range(n))
+        point = basis.to_ambient(c)
+        assert point == tuple(sum(ci * row[j] for ci, row in zip(c, basis.rows)) for j in range(n))
+        assert all(isinstance(x, int) or x.denominator != 1 for x in point)
+    assert LatticeBasis.standard(3).to_ambient((1, -2, 3)) == (1, -2, 3)
+
+
+def test_span_substitution_matches_a_solve():
+    rng = random.Random(9)
+    kinds = {"lattice": 0, "rational": 0, "outside": 0}
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n - 1)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if not any(any(r) for r in rows):
+            continue
+        sat = saturation_basis(rows, n)
+        points = [
+            tuple(sum(rng.randint(-2, 2) * x for x in col) for col in zip(*sat)),
+            tuple(sum(Fraction(rng.randint(-3, 3), 2) * x for x in col) for col in zip(*rows)),
+            tuple(rng.randint(-3, 3) for _ in range(n)),
+        ]
+        for v in points:
+            sol = ref.solve_rational(list(zip(*sat)), v)
+            expected = None
+            if isinstance(sol, tuple):
+                kind = "rational"
+                if all(x.denominator == 1 for x in sol):
+                    kind = "lattice"
+                    expected = tuple(int(x) for x in sol)
+            else:
+                kind = "outside"
+            assert echelon_coords(sat, v) == expected, (sat, v)
+            kinds[kind] += 1
+    assert all(kinds.values()), kinds
+
+
+def _full_rank_generators(rng, n):
+    while True:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 3))]
+        if ref.rank(gens) == n:
+            break
+    extra = [gens[0], tuple(3 * x for x in gens[-1])]  # duplicate directions
+    extra.append(tuple(x + y for x, y in zip(gens[0], gens[1 % len(gens)])))  # non-extremal
+    out = gens + extra
+    rng.shuffle(out)
+    return out
+
+
+def test_double_description_matches_the_lineality_reference():
+    rng = random.Random(17)
+    pointed = 0
+    for n in range(1, 6):
+        for _ in range(40):
+            gens = _full_rank_generators(rng, n)
+            expected, lineality = ref.double_description(n, gens)
+            assert lineality == []
+            got = cones._double_description(gens, independent_rows(gens))
+            assert len(got) == len(set(got))
+            assert sorted(got) == sorted(expected), gens
+            pointed += ref.rank(expected) == n
+    assert 0 < pointed < 200  # both strongly convex cones and cones with a line
