@@ -225,7 +225,7 @@ def _cmd_scan(args) -> dict:
         instances = lab.instances_from_spec(spec)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"scan spec is malformed: {exc}") from exc
-    report = lab.scan(instances, jobs=args.jobs)
+    report = lab.scan(instances)
     return report.to_doc()
 
 
@@ -280,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("scan", _cmd_scan, "aggregate a scan specification", germ_arg=False)
     p.add_argument("--spec", required=True, help="scan spec JSON file")
-    p.add_argument("--jobs", type=int, default=1, help="internal parallelism")
 
     return parser
 

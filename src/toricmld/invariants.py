@@ -188,7 +188,11 @@ def _normalize_rows(rows):
         key = tuple(x // g for x in coeffs)
         val = const // g if const % g == 0 else Fraction(const, g)
         if all(x == 0 for x in key):
-            continue  # 0 >= c with c <= 0 is vacuous; c > 0 cannot occur here
+            # 0 >= c is vacuous for c <= 0.  For c > 0 the system is
+            # infeasible, and dropping the row is still sound: the walk
+            # emits only points that satisfy every non-constant row of
+            # every level, so every original row, and so it emits none.
+            continue
         if key not in out or out[key] < val:
             out[key] = val
     return [(k, v) for k, v in out.items()]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -78,54 +77,42 @@ class InstanceResult:
 
 def check_instance(inst: ConjectureInstance) -> InstanceResult:
     """Compute mld, window count and group order, and classify."""
-    return _check_germ([inst])[0]
+    return check_instances([inst])[0]
 
 
-def check_instances(
-    instances: Iterable[ConjectureInstance], jobs: int = 1
-) -> list[InstanceResult]:
+def check_instances(instances: Iterable[ConjectureInstance]) -> list[InstanceResult]:
     """``check_instance`` of every instance, in input order.
 
-    Instances are grouped by germ in first-seen order, and each distinct
-    germ is evaluated once for all of its (epsilon, delta) pairs.  With
-    ``jobs > 1`` the groups are mapped over a thread pool.
+    Each distinct germ is evaluated once, for the sorted set of all of
+    its deltas.
     """
     instances = list(instances)
-    groups: dict[ToricGerm, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(inst.germ, []).append(i)
-    work = [[instances[i] for i in idx] for idx in groups.values()]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            group_results = list(pool.map(_check_germ, work))
-    else:
-        group_results = [_check_germ(group) for group in work]
-    results = [None] * len(instances)
-    for idx, group_result in zip(groups.values(), group_results):
-        for i, result in zip(idx, group_result):
-            results[i] = result
-    return results
+    deltas: dict[ToricGerm, set[Fraction]] = {}
+    for inst in instances:
+        deltas.setdefault(inst.germ, set()).add(inst.delta)
+    evaluated = {germ: _check_germ(germ, sorted(ds)) for germ, ds in deltas.items()}
+    return [evaluated[inst.germ](inst) for inst in instances]
 
 
-def _check_germ(instances: list[ConjectureInstance]) -> list[InstanceResult]:
-    """Results for instances that share one germ, from one evaluation of it."""
-    germ = instances[0].germ
-    deltas = sorted({inst.delta for inst in instances})
+def _check_germ(germ: ToricGerm, deltas: list[Fraction]):
+    """One evaluation of the germ for the given deltas, as the function
+    that gives the result of an instance on this germ."""
     try:
         value, counts = mld_window_counts(germ, deltas)
     except (NotQCartier, NotFullDimensional) as exc:
         degenerate = InstanceResult(
             None, False, None, None, Classification.DEGENERATE, str(exc)
         )
-        return [degenerate] * len(instances)
+        return lambda inst: degenerate
     count_of = dict(zip(deltas, counts))
     order = pi1_reg(germ).order
-    results = []
-    for inst in instances:
+
+    def result(inst: ConjectureInstance) -> InstanceResult:
         ok = value > inst.epsilon
         cls = Classification.SATISFIES if ok else Classification.VIOLATES_MLD
-        results.append(InstanceResult(value, ok, count_of[inst.delta], order, cls))
-    return results
+        return InstanceResult(value, ok, count_of[inst.delta], order, cls)
+
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +256,12 @@ def _fold(report: ScanReport, inst: ConjectureInstance, result: InstanceResult):
         cell.witness_key = doc_key
 
 
-def scan(instances: Iterable[ConjectureInstance], jobs: int = 1) -> ScanReport:
+def scan(instances: Iterable[ConjectureInstance]) -> ScanReport:
     """Fold instances into a report; the fold is a commutative merge, so
-    the result is independent of ordering and of the parallelism level."""
+    the result is independent of the instance order."""
     instances = list(instances)
     report = ScanReport(cells={})
-    for inst, result in zip(instances, check_instances(instances, jobs)):
+    for inst, result in zip(instances, check_instances(instances)):
         _fold(report, inst, result)
     return report
 

@@ -33,17 +33,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * x for x in v)
-
-
 def vec_gcd(v: Sequence[int]) -> int:
     g = 0
     for x in v:

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import NotQCartier
+from .errors import InternalError, NotQCartier
 
 
 def _gauss_solve(rows, rhs):
@@ -90,7 +90,8 @@ def _rebase_rays(germ):
     out = []
     for ray in germ.cone.rays:
         c = _gauss_solve(at, ray)
-        assert c is not None and all(x.denominator == 1 for x in c)
+        if c is None or any(x.denominator != 1 for x in c):
+            raise InternalError(f"oracle: ray {ray} is not integral in the lattice basis")
         out.append(tuple(int(x) for x in c))
     return out
 

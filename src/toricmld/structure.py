@@ -42,7 +42,7 @@ from .errors import (
     TooManyRays,
 )
 from .invariants import ToricGerm, log_disc_functional, orbifold_lattice
-from .linalg import det, dot, express_in_basis, rank, saturation_basis, solve_rational, transpose
+from .linalg import det, dot, express_in_basis, rank, solve_rational, transpose
 
 MAX_SUBSET_RAYS = 16
 
@@ -193,8 +193,8 @@ def _simplicial_decomposition(cone: Cone, m):
     return k0, vectors, grids
 
 
-def _rebase_to_span(rays, m, n):
-    sat = saturation_basis(list(rays), n)
+def _rebase_to_span(tau: Cone, m):
+    sat = tau.span
     cols = list(zip(*sat))
 
     def down(v):
@@ -206,7 +206,7 @@ def _rebase_to_span(rays, m, n):
     def up(v):
         return tuple(dot(v, col) for col in cols)
 
-    return [down(r) for r in rays], down(m), len(sat), up
+    return [down(r) for r in tau.rays], down(m), len(sat), up
 
 
 def _decompose_rec(cone: Cone, m):
@@ -219,7 +219,7 @@ def _decompose_rec(cone: Cone, m):
         return _decompose_rec(tri.tau, m)
     parts = []
     for tau in (tri.tau1, tri.tau2):
-        sub_rays, sub_m, d, up = _rebase_to_span(tau.rays, m, n)
+        sub_rays, sub_m, d, up = _rebase_to_span(tau, m)
         k0_t, vecs_t, grids_t = _decompose_rec(make_cone(d, sub_rays), sub_m)
         vecs = [up(v) for v in vecs_t]
         grids = [{up(r): k for r, k in g.items()} for g in grids_t]

@@ -167,10 +167,14 @@ def test_cli_point_of_the_wrong_length(germ_file):
 
 
 def test_cli_bound_below_minimum(germ_file):
-    path = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]})
-    code, out, err = run("mld", path, "--bound", "1/2")
-    assert code == 1 and out == ""
-    assert err.startswith("error: BoundBelowMinimum: ")
+    ex1 = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]}, "ex1.json")
+    # at --bound=-1 a Fourier-Motzkin projection holds a constant row
+    # 0 >= c with c > 0, which the cascade drops
+    ex3 = germ_file({"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 4]]}, "ex3.json")
+    for path, bound in ((ex1, "1/2"), (ex3, "-1"), (ex3, "0")):
+        code, out, err = run("mld", path, f"--bound={bound}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: BoundBelowMinimum: ")
 
 
 def test_cli_out_and_pretty(germ_file, tmp_path):
@@ -192,11 +196,13 @@ def test_cli_scan_deterministic(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     runs = [run("scan", "--spec", str(spec_path))[1] for _ in range(2)]
-    runs.append(run("scan", "--spec", str(spec_path), "--jobs", "4")[1])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     doc = json.loads(runs[0])
     assert doc["note"]
     assert all("witness" in cell for cell in doc["cells"])
+    code, out, err = run("scan", "--spec", str(spec_path), "--jobs", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_cli_stdin(germ_file, monkeypatch):

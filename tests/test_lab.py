@@ -142,7 +142,7 @@ def test_scan_empty():
     assert report.to_doc()["cells"] == []
 
 
-def test_scan_order_insensitive_and_parallel():
+def test_scan_order_insensitive():
     instances = [
         t.ConjectureInstance(t.family(name, p), F(1, 2), F(1, 2))
         for name in ("ex1", "ex3")
@@ -150,9 +150,8 @@ def test_scan_order_insensitive_and_parallel():
     ]
     doc_fwd = t.scan(instances).to_doc()
     doc_rev = t.scan(list(reversed(instances))).to_doc()
-    doc_par = t.scan(instances, jobs=3).to_doc()
     blob = lambda d: json.dumps(d, sort_keys=True)
-    assert blob(doc_fwd) == blob(doc_rev) == blob(doc_par)
+    assert blob(doc_fwd) == blob(doc_rev)
 
 
 def test_instances_from_spec():
@@ -210,4 +209,4 @@ def test_check_instances_matches_per_instance_path(monkeypatch):
     assert len(enumerations) == len(set(germs)) - 1  # all but the degenerate germ
     assert max(enumerations.values()) == 2  # the second enumeration ran, and never a third
     assert fast == [_per_instance(inst) for inst in instances]
-    assert check_instances(list(reversed(instances)), jobs=2) == fast[::-1]
+    assert check_instances(list(reversed(instances))) == fast[::-1]

@@ -5,7 +5,7 @@ import pytest
 
 import toricmld as t
 from toricmld.errors import InternalError, NotFullDimensional, NotInteriorPoint, TooManyRays
-from toricmld.linalg import dot, rank
+from toricmld.linalg import dot, rank, saturation_basis
 from toricmld.structure import (
     Decomposition,
     FullDimSubcone,
@@ -81,6 +81,8 @@ def _revalidate(cone, m, res):
     for tau in (res.tau1, res.tau2):
         assert set(tau.rays) < set(cone.rays)
         assert in_relint(tau.rays, m)
+        # decompose rebases each half by the span basis the cone carries
+        assert tau.span == saturation_basis(tau.rays, cone.n)
     assert rank(res.tau1.rays + res.tau2.rays) == cone.n
 
 
