@@ -312,14 +312,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc = args.func(args)
+        _emit(args.func(args), args)
     except ToricError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(doc, args)
     return 0
 
 

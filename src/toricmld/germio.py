@@ -38,6 +38,12 @@ def parse_q(value, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
+def parse_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: expected an integer, got {type(value).__name__}")
+    return value
+
+
 def germ_doc(germ: ToricGerm) -> dict:
     """Serialisable document; fields with default values are omitted."""
     doc = {"dim": germ.dim, "rays": [list(r) for r in germ.cone.rays]}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,7 +50,8 @@ Point = tuple  # lattice point in ambient coordinates (ints or Fractions)
 
 @dataclass(frozen=True)
 class ToricGerm:
-    """Toric singularity germ (cone, boundary, ambient lattice)."""
+    """Toric singularity germ (cone, boundary, ambient lattice).  Its derived
+    data is built on first use, kept on the germ and freed with it."""
 
     cone: Cone
     boundary: tuple[Fraction, ...]
@@ -58,6 +60,34 @@ class ToricGerm:
     @property
     def dim(self) -> int:
         return self.cone.n
+
+    @cached_property
+    def rebased(self) -> Rebased:
+        """The germ in coordinates of N; raises as ``log_disc_functional``."""
+        ldf = log_disc_functional(self)
+        if self.lattice.is_standard:
+            cone, coeffs = self.cone, ldf.coeffs
+        else:
+            rays_c = []
+            for ray in self.cone.rays:
+                c = express_in_basis(self.lattice, ray)
+                if c is None:
+                    raise InternalError(f"ray {ray} of a validated germ is not a point of N")
+                rays_c.append(c)
+            cone = make_cone(self.dim, rays_c)
+            coeffs = tuple(ldf(row) for row in self.lattice.rows)
+        den = math.lcm(*[f.denominator for f in coeffs])
+        l_num = tuple(f.numerator * (den // f.denominator) for f in coeffs)
+        return Rebased(ldf, cone, l_num, den)
+
+    @cached_property
+    def orbifold(self) -> LatticeBasis:
+        """Lattice generated by N and the rescaled ray generators ray/n_ray."""
+        gens = list(self.lattice.rows)
+        for ray, b in zip(self.cone.rays, self.boundary):
+            m = multiplicity(b)
+            gens.append(tuple(Fraction(x, m) for x in ray))
+        return lattice_from_generators(self.dim, gens)
 
 
 def make_germ(
@@ -100,11 +130,7 @@ def multiplicity(coeff) -> int:
 
 def orbifold_lattice(germ: ToricGerm) -> LatticeBasis:
     """Lattice generated by N and the rescaled ray generators ray/n_ray."""
-    gens = list(germ.lattice.rows)
-    for ray, b in zip(germ.cone.rays, germ.boundary):
-        m = multiplicity(b)
-        gens.append(tuple(Fraction(x, m) for x in ray))
-    return lattice_from_generators(germ.dim, gens)
+    return germ.orbifold
 
 
 @dataclass(frozen=True)
@@ -112,7 +138,6 @@ class LogDiscFunctional:
     """The linear functional measuring log discrepancies of toric valuations."""
 
     coeffs: tuple[Fraction, ...]
-    germ: ToricGerm
 
     def __call__(self, v: Sequence) -> Fraction:
         return Fraction(dot(self.coeffs, v))
@@ -133,43 +158,26 @@ def log_disc_functional(germ: ToricGerm) -> LogDiscFunctional:
         raise NotQCartier("no linear functional matches all ray values")
     if sol is UNDERDETERMINED:
         raise NotFullDimensional("the cone does not span the ambient space")
-    return LogDiscFunctional(sol, germ)
+    return LogDiscFunctional(sol)
 
 
 @dataclass(frozen=True)
-class _Rebased:
-    """A germ in integer coordinates with respect to a basis of N.
+class Rebased:
+    """A germ's log discrepancy functional ``ldf`` and its cone in integer
+    coordinates with respect to the basis of N.
 
     Log discrepancies are kept as integer numerators over ``den``:
     L(c) = dot(l_num, c) / den for rebased coordinates c.
     """
 
+    ldf: LogDiscFunctional
     cone: Cone
-    basis: LatticeBasis
     l_num: tuple[int, ...]
     den: int
 
     def ray_sum_value(self) -> int:
         """Numerator of L at the ray sum, an interior lattice point."""
         return sum(dot(self.l_num, ray) for ray in self.cone.rays)
-
-
-def _rebased(germ: ToricGerm) -> _Rebased:
-    ldf = log_disc_functional(germ)
-    if germ.lattice.is_standard:
-        cone, coeffs = germ.cone, ldf.coeffs
-    else:
-        rays_c = []
-        for ray in germ.cone.rays:
-            c = express_in_basis(germ.lattice, ray)
-            if c is None:
-                raise InternalError(f"ray {ray} of a validated germ is not a point of N")
-            rays_c.append(c)
-        cone = make_cone(germ.dim, rays_c)
-        coeffs = tuple(ldf(row) for row in germ.lattice.rows)
-    den = math.lcm(*[f.denominator for f in coeffs])
-    l_num = tuple(f.numerator * (den // f.denominator) for f in coeffs)
-    return _Rebased(cone, germ.lattice, l_num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ def _enumerate_polytope_points(n, int_rows):
     return out
 
 
-def _interior_points_upto(rb: _Rebased, b_num: int):
+def _interior_points_upto(rb: Rebased, b_num: int):
     """Interior lattice points u of the cone with 0 < L(u) <= b_num / den,
     paired with the numerator of L(u), in rebased coordinates."""
     facets, l_num = rb.cone.facets, rb.l_num
@@ -316,7 +324,7 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
     interior lattice point, so the region {L <= bound} is certified to
     contain the minimum.
     """
-    rb = _rebased(germ)
+    rb = germ.rebased
     if bound is None:
         b_num = rb.ray_sum_value()
         b = Fraction(b_num, rb.den)
@@ -329,7 +337,7 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
     value = min(v for _, v in pts)
-    minimizers = sorted(rb.basis.to_ambient(p) for p, v in pts if v == value)
+    minimizers = sorted(germ.lattice.to_ambient(p) for p, v in pts if v == value)
     return MldResult(Fraction(value, rb.den), tuple(minimizers), b)
 
 
@@ -338,12 +346,12 @@ def count_window(germ: ToricGerm, low, high) -> WindowCount:
     lo, hi = Fraction(low), Fraction(high)
     if not (0 < lo <= hi):
         raise ValueError("window must satisfy 0 < low <= high")
-    rb = _rebased(germ)
+    rb = germ.rebased
     # integer numerators v with lo <= v / den < hi
     lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
     pts = _interior_points_upto(rb, hi_num - 1)
     kept = sorted(
-        (rb.basis.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
+        (germ.lattice.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
     )
     return WindowCount(lo, hi, tuple(kept), len(kept))
 
@@ -356,7 +364,7 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     for each delta, from one enumeration up to L(sum of rays), plus a
     second one up to mld + max(deltas) only when that exceeds it.
     """
-    rb = _rebased(germ)
+    rb = germ.rebased
     bound = rb.ray_sum_value()
     pts = _interior_points_upto(rb, bound)
     m = min(v for _, v in pts)
@@ -373,7 +381,7 @@ def log_discrepancy_at(germ: ToricGerm, u: Sequence) -> Fraction:
     c = express_in_basis(germ.lattice, u)
     if c is None:
         raise NotInteriorPoint(f"{tuple(u)} is not a point of the ambient lattice")
-    rb = _rebased(germ)
+    rb = germ.rebased
     if cones.membership(rb.cone, c) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"{tuple(u)} is not in the interior of the cone")
     return Fraction(dot(rb.l_num, c), rb.den)
@@ -386,14 +394,9 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
     orbifold lattice, via Smith normal form.  For a full-dimensional
     cone the group is finite; otherwise the free rank is reported.
     """
-    return _pi1_in(germ, orbifold_lattice(germ))
-
-
-def _pi1_in(germ: ToricGerm, ob: LatticeBasis) -> FiniteAbelianGroup:
-    """pi1_reg(germ), given its orbifold lattice ob."""
     rows = []
     for ray in germ.cone.rays:
-        c = express_in_basis(ob, ray)
+        c = express_in_basis(germ.orbifold, ray)
         if c is None:
             raise InternalError(f"ray {ray} is not a point of the orbifold lattice")
         rows.append(c)

@@ -27,18 +27,13 @@ from .errors import (
     NotFullDimensional,
     NotQCartier,
     NotStronglyConvex,
+    ParseError,
     SamplingExhausted,
     ValidationError,
     ZeroVector,
 )
-from .germio import format_q, germ_doc
-from .invariants import (
-    ToricGerm,
-    log_disc_functional,
-    make_germ,
-    mld_window_counts,
-    pi1_reg,
-)
+from .germio import format_q, germ_doc, parse_int, parse_q
+from .invariants import ToricGerm, make_germ, mld_window_counts, pi1_reg
 from .linalg import lattice_from_generators
 
 SCOPE_NOTE = "window counts cover toric divisorial valuations only"
@@ -178,7 +173,7 @@ def sample_random(n: int, max_rays: int, coord_bound: int, seed: int) -> ToricGe
             boundary = [rng.choice(_COEFF_CHOICES) for _ in cone.rays]
         germ = make_germ(cone, boundary)
         try:
-            log_disc_functional(germ)
+            germ.rebased  # solves L, the Q-Cartier check, and keeps it for the scan
         except NotQCartier:
             continue
         return germ
@@ -273,23 +268,29 @@ def instances_from_spec(spec: dict) -> list[ConjectureInstance]:
     "sampler": {"n", "max_rays", "coord_bound", "count", "seed"},
     "grid": [{"epsilon": "p/q", "delta": "p/q"}]}.
     """
+    if not isinstance(spec, dict):
+        raise ParseError(f"scan spec must be a JSON object, got {type(spec).__name__}")
     germs: list[ToricGerm] = []
-    for fam in spec.get("families", []):
-        lo, hi = fam["param_range"]
+    for i, fam in enumerate(spec.get("families", [])):
+        where = f"families[{i}].param_range"
+        param_range = fam["param_range"]
+        if not isinstance(param_range, list) or len(param_range) != 2:
+            raise ParseError(f"{where}: expected [lo, hi]")
+        lo, hi = (parse_int(x, where) for x in param_range)
         for p in range(lo, hi + 1):
             germs.append(family(fam["name"], p))
     sampler = spec.get("sampler")
     if sampler:
-        for i in range(sampler["count"]):
-            germs.append(
-                sample_random(
-                    sampler["n"],
-                    sampler["max_rays"],
-                    sampler["coord_bound"],
-                    sampler["seed"] + i,
-                )
-            )
-    grid = [(Fraction(g["epsilon"]), Fraction(g["delta"])) for g in spec["grid"]]
+        count, n, max_rays, coord_bound, seed = (
+            parse_int(sampler[k], f"sampler.{k}")
+            for k in ("count", "n", "max_rays", "coord_bound", "seed")
+        )
+        for i in range(count):
+            germs.append(sample_random(n, max_rays, coord_bound, seed + i))
+    grid = [
+        (parse_q(g["epsilon"], f"grid[{i}].epsilon"), parse_q(g["delta"], f"grid[{i}].delta"))
+        for i, g in enumerate(spec["grid"])
+    ]
     return [
         ConjectureInstance(germ, eps, delta) for germ in germs for eps, delta in grid
     ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from . import invariants, linalg
+from . import linalg
 from .cones import (
     Cone,
     Membership,
@@ -41,7 +41,7 @@ from .errors import (
     NotInteriorPoint,
     TooManyRays,
 )
-from .invariants import ToricGerm, log_disc_functional, orbifold_lattice
+from .invariants import ToricGerm, pi1_reg
 from .linalg import det, dot, express_in_basis, rank, solve_rational, transpose
 
 MAX_SUBSET_RAYS = 16
@@ -259,17 +259,17 @@ def _decompose_rec(cone: Cone, m):
 
 def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
     """Decompose k0 * m into independent nonnegative ray combinations."""
-    rb = invariants._rebased(germ)
+    rb = germ.rebased
     m_c = express_in_basis(germ.lattice, m)
     if m_c is None or membership(rb.cone, m_c) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"{tuple(m)} is not an interior lattice point")
     k0, vecs_c, grids = _decompose_rec(rb.cone, m_c)
-    amb_of = {r: rb.basis.to_ambient(r) for r in rb.cone.rays}
+    amb_of = {r: germ.lattice.to_ambient(r) for r in rb.cone.rays}
     col = {amb: j for j, amb in enumerate(germ.cone.rays)}
     vectors = []
     coefficients = []
     for v, g in zip(vecs_c, grids):
-        vectors.append(rb.basis.to_ambient(v))
+        vectors.append(germ.lattice.to_ambient(v))
         row = [0] * len(germ.cone.rays)
         for r, k in g.items():
             row[col[amb_of[r]]] = k
@@ -308,8 +308,8 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     n = germ.dim
     if det(d.vectors) == 0:
         raise DependentVectors("decomposition vectors are linearly dependent")
-    ob = orbifold_lattice(germ)
-    ldf = log_disc_functional(germ)
+    ob = germ.orbifold
+    ldf = germ.rebased.ldf
     raw_coords = []
     prim_coords = []
     k_values = []
@@ -326,7 +326,7 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
         k_values.append(ldf(amb))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
-    pi1_order = invariants._pi1_in(germ, ob).order
+    pi1_order = pi1_reg(germ).order
     if coarse < pi1_order:
         raise InternalError(f"coarse order {coarse} is below |pi1_reg| = {pi1_order}")
     sigma0 = make_cone(n, [linalg.primitive_direction(v) for v in prim_ambient])

@@ -1,10 +1,13 @@
 import io
 import contextlib
 import json
+import re
+import sys
 
 import pytest
 
 import toricmld as t
+from toricmld import invariants
 from toricmld.cli import main
 from toricmld.errors import ParseError, ValidationError
 from toricmld.germio import germ_doc, parse_germ
@@ -185,6 +188,114 @@ def test_cli_out_and_pretty(germ_file, tmp_path):
     assert "mld" in out and "{" not in out.splitlines()[0]
     saved = json.loads(out_file.read_text())
     assert saved["mld"] == "1"
+
+
+def test_cli_out_to_a_missing_directory(germ_file, tmp_path):
+    path = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]})
+    code, out, err = run("mld", path, "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+GRID = [{"epsilon": "1/2", "delta": "1/2"}]
+SAMPLER = {"n": 2, "max_rays": 3, "coord_bound": 4, "count": 2, "seed": 11}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([], "scan spec must be a JSON object, got list"),
+        ({"grid": [{"epsilon": 0.1, "delta": "1/2"}]}, r"grid\[0\]\.epsilon: expected a rational string, got float"),
+        ({"grid": [{"epsilon": "1/2", "delta": True}]}, r"grid\[0\]\.delta: expected a rational, got a boolean"),
+        ({"families": [{"name": "ex1", "param_range": [2.0, 3]}], "grid": GRID},
+         r"families\[0\]\.param_range: expected an integer, got float"),
+        ({"families": [{"name": "ex1", "param_range": [2, True]}], "grid": GRID},
+         r"families\[0\]\.param_range: expected an integer, got bool"),
+        ({"families": [{"name": "ex1", "param_range": [2, 3, 4]}], "grid": GRID},
+         r"families\[0\]\.param_range: expected \[lo, hi\]"),
+    ]
+    + [
+        ({"sampler": dict(SAMPLER, **{key: bad}), "grid": GRID},
+         rf"sampler\.{key}: expected an integer, got {type(bad).__name__}")
+        for key in ("n", "max_rays", "coord_bound", "count", "seed")
+        for bad in (3.0, True)
+    ],
+    ids=["list", "float-epsilon", "bool-delta", "float-param", "bool-param", "three-params"]
+    + [f"{key}-{kind}" for key in ("n", "max_rays", "coord_bound", "count", "seed")
+       for kind in ("float", "bool")],
+)
+def test_cli_scan_spec_validation(tmp_path, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run("scan", "--spec", str(spec_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ParseError: ")
+    assert re.search(message, err)
+
+
+def test_cli_scan_spec_takes_integer_and_string_rationals(tmp_path):
+    spec = {"families": [{"name": "ex1", "param_range": [2, 3]}],
+            "grid": [{"epsilon": 1, "delta": "0.1"}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, _ = run("scan", "--spec", str(spec_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["violates_mld"] == 2 and doc["cells"] == []
+    spec["grid"][0]["epsilon"] = "1/2"
+    spec_path.write_text(json.dumps(spec))
+    cells = json.loads(run("scan", "--spec", str(spec_path))[1])["cells"]
+    assert {(c["epsilon"], c["delta"]) for c in cells} == {("1/2", "1/10")}
+
+
+def _spy(monkeypatch, fn, modules=None):
+    """Record the arguments of every call of the package function fn made
+    through the given modules (default: every package module that binds it)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    if modules is None:
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toricmld"]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
+         "lattice_extra": [["1/2", "1/2", "0"]]},
+        {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 4]], "boundary": ["1/2", "0", "2/3"]},
+    ],
+    ids=["extended-lattice", "boundary"],
+)
+def test_cli_blowup_solves_once(germ_file, monkeypatch, doc):
+    """One blowup command: one solve of L, one orbifold lattice (built in
+    invariants by lattice_from_generators; germio's calls parse the document)."""
+    solves = _spy(monkeypatch, invariants.log_disc_functional)
+    builds = _spy(monkeypatch, invariants.lattice_from_generators, [invariants])
+    code, out, _ = run("blowup", germ_file(doc))
+    assert code == 0 and int(json.loads(out)["pi1_order"]) > 1
+    assert len(solves) == 1 and len(builds) == 1
+
+
+def test_cli_sampler_scan_solves_once_per_germ(tmp_path, monkeypatch):
+    solves = _spy(monkeypatch, invariants.log_disc_functional)
+    spec = {"sampler": {"n": 3, "max_rays": 5, "coord_bound": 2, "count": 12, "seed": 7},
+            "grid": [{"epsilon": "1/2", "delta": "1/2"}, {"epsilon": "1/4", "delta": "3/4"}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, _ = run("scan", "--spec", str(spec_path))
+    assert code == 0
+    solved = [args[0] for args in solves]  # kept alive, so ids are not reused
+    assert len({id(g) for g in solved}) == len(solved)
+    assert len(solved) >= 12
 
 
 def test_cli_scan_deterministic(tmp_path):

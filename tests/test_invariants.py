@@ -8,6 +8,7 @@ from toricmld.errors import (
     BoundBelowMinimum,
     CoefficientOutOfRange,
     InternalError,
+    NotFullDimensional,
     NotInteriorPoint,
     NotQCartier,
     ValidationError,
@@ -233,3 +234,40 @@ def test_extended_lattice_rebasing_roundtrip():
     assert r.minimizers == ((F(1, 4), F(1, 4), F(1, 4), F(1, 4)),)
     # reported minimizer is a lattice point and interior
     assert t.log_discrepancy_at(g4, r.minimizers[0]) == 1
+
+
+def test_derived_data_lives_on_the_germ_and_is_freed_with_it():
+    """The rebased record and the orbifold lattice are built once and do
+    not refer back to the germ, so the germ is freed by reference counting
+    alone, without the cyclic collector."""
+    import gc
+    import weakref
+
+    cone = t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    lattice = t.lattice_from_generators(3, [(F(1, 2), F(1, 2), F(0))])
+    germ = t.make_germ(cone, None, lattice)
+    gc.disable()
+    try:
+        m = t.mld(germ).minimizers[0]
+        assert t.pi1_reg(germ).order == 2
+        t.decompose(germ, m)
+        assert germ.rebased is germ.rebased and germ.orbifold is t.orbifold_lattice(germ)
+        assert germ.rebased.ldf == t.log_disc_functional(germ)
+        ref = weakref.ref(germ)
+        del germ
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_derived_data_keeps_the_error_types():
+    germ = t.make_germ(FOURRAY, [F(1, 2), F(0), F(0), F(0)])
+    for _ in range(2):  # a failed build is not kept
+        with pytest.raises(NotQCartier):
+            t.mld(germ)
+        with pytest.raises(NotQCartier):
+            t.decompose(germ, (1, 1, 1))
+    flat = t.make_germ(t.make_cone(3, [(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(NotFullDimensional):
+        t.mld(flat)
+    assert t.pi1_reg(flat).free_rank == 1
