@@ -59,8 +59,8 @@ def parse_germ_doc(doc) -> ToricGerm:
         raise ParseError("germ document must be a JSON object")
     if "dim" not in doc or "rays" not in doc:
         raise ParseError("germ document needs 'dim' and 'rays' fields")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    dim = parse_int(doc["dim"], "dim")
+    if dim < 1:
         raise ParseError("'dim' must be a positive integer")
     rays_field = doc["rays"]
     if not isinstance(rays_field, list) or not rays_field:

@@ -391,8 +391,9 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
     """Regional fundamental group: orbifold lattice modulo the rays.
 
     Computed as the cokernel of the ray matrix written in a basis of the
-    orbifold lattice, via Smith normal form.  For a full-dimensional
-    cone the group is finite; otherwise the free rank is reported.
+    orbifold lattice, from that matrix's invariant factors (``snf``, read
+    off its Hermite form).  For a full-dimensional cone the group is
+    finite; otherwise the free rank is reported.
     """
     rows = []
     for ray in germ.cone.rays:
@@ -400,7 +401,6 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
         if c is None:
             raise InternalError(f"ray {ray} is not a point of the orbifold lattice")
         rows.append(c)
-    res = snf(rows)
-    factors = tuple(d for d in res.invariant_factors if d > 1)
-    order = math.prod(res.invariant_factors)
-    return FiniteAbelianGroup(factors, order, germ.dim - res.rank)
+    factors = snf(rows)
+    nontrivial = tuple(d for d in factors if d > 1)
+    return FiniteAbelianGroup(nontrivial, math.prod(factors), germ.dim - len(factors))

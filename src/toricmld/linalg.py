@@ -4,11 +4,12 @@ Vectors are tuples and matrices are tuples of row tuples.  Rank,
 determinants, linear solves and independent row sets read their answers
 off one fraction-free (Bareiss) elimination over ``int`` rows; a row of
 ``fractions.Fraction`` is first scaled by the lcm of its denominators.
-Hermite and Smith normal forms stay in ``int`` arithmetic with their
-unimodular transforms tracked explicitly, and coordinates in an echelon
-basis (a lattice's Hermite form, a saturated span) come by substitution.
-Fractions appear only in rational answers and inputs.  Nothing here
-ever touches floating point.
+The row Hermite normal form, in ``int`` arithmetic and without a
+unimodular transform, is the one lattice kernel: Smith invariants,
+saturated spans and lattice bases are read off it, and coordinates in
+an echelon basis (a lattice's Hermite form, a saturated span) come by
+substitution.  Fractions appear only in rational answers and inputs.
+Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -239,25 +240,29 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def hnf(a) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Row Hermite normal form.
-
-    Returns (H, U) with H = U . a, U unimodular.  Convention: row style,
-    pivots positive, entries above a pivot reduced into [0, pivot).
+def hnf(a) -> tuple[IntVec, ...]:
+    """Row Hermite normal form H of an integer matrix, of a's shape: row
+    style, pivots positive, entries above a pivot reduced into [0, pivot),
+    the rows past the rank zero.  H is unique for the lattice a's rows
+    span.  Where the pivot divides an entry below it, a multiple of the
+    pivot row is subtracted and the pivot row is left as it is; ``snf``
+    relies on that.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     h = [list(map(int, row)) for row in a]
-    u = [list(row) for row in identity(m)]
     r = 0
     for j in range(n):
         piv = next((i for i in range(r, m) if h[i][j] != 0), None)
         if piv is None:
             continue
         h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, m):
             if h[i][j] == 0:
+                continue
+            if h[i][j] % h[r][j] == 0:
+                q = h[i][j] // h[r][j]
+                h[i] = [ri - q * rr for rr, ri in zip(h[r], h[i])]
                 continue
             g, x, y = xgcd(h[r][j], h[i][j])
             p, q = h[r][j] // g, h[i][j] // g
@@ -265,157 +270,64 @@ def hnf(a) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
                 [x * rr + y * ri for rr, ri in zip(h[r], h[i])],
                 [-q * rr + p * ri for rr, ri in zip(h[r], h[i])],
             )
-            u[r], u[i] = (
-                [x * rr + y * ri for rr, ri in zip(u[r], u[i])],
-                [-q * rr + p * ri for rr, ri in zip(u[r], u[i])],
-            )
         if h[r][j] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][j] // h[r][j]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
+    return tuple(map(tuple, h))
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """Smith decomposition S = U . A . V with U, V unimodular.
+def _nonzero_hnf(a) -> list[IntVec]:
+    return [row for row in hnf(a) if any(row)]
 
-    S is diagonal with nonnegative entries d1 | d2 | ... followed by
-    zeros.  ``invariant_factors`` strips the trailing zeros; the rank is
-    their count.
+
+def snf(a) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of an integer matrix, the nonzero
+    diagonal of its Smith form; their count is the rank.
+
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The loop ends: from
+    the second pass on, the matrix is square, upper triangular and
+    positive on the diagonal.  Each pass replaces the leading entry of
+    the first block not yet clear by the gcd of the column it reduces, a
+    divisor of that entry and strictly smaller unless the entry divides
+    the column.  Then the pass only subtracts multiples of the pivot row,
+    which it leaves as it is, so the block's row and column stay clear.
     """
-
-    S: tuple[IntVec, ...]
-    U: tuple[IntVec, ...]
-    V: tuple[IntVec, ...]
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        k = min(len(self.S), len(self.S[0]) if self.S else 0)
-        return tuple(self.S[i][i] for i in range(k) if self.S[i][i] != 0)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-
-def _snf_clear_at(s, u, v, k):
-    """Clear row k and column k (beyond the diagonal) by gcd transforms.
-
-    When the pivot already divides the entry a plain subtraction is used,
-    which leaves the pivot row/column untouched; this is what makes the
-    row/column alternation terminate.
-    """
-    m, n = len(s), len(s[0])
-    while True:
-        for i in range(k + 1, m):
-            if s[i][k] == 0:
-                continue
-            if s[i][k] % s[k][k] == 0:
-                q = s[i][k] // s[k][k]
-                s[i] = [b - q * a for a, b in zip(s[k], s[i])]
-                u[i] = [b - q * a for a, b in zip(u[k], u[i])]
-                continue
-            g, x, y = xgcd(s[k][k], s[i][k])
-            p, q = s[k][k] // g, s[i][k] // g
-            s[k], s[i] = (
-                [x * a + y * b for a, b in zip(s[k], s[i])],
-                [-q * a + p * b for a, b in zip(s[k], s[i])],
-            )
-            u[k], u[i] = (
-                [x * a + y * b for a, b in zip(u[k], u[i])],
-                [-q * a + p * b for a, b in zip(u[k], u[i])],
-            )
-        if all(s[k][j] == 0 for j in range(k + 1, n)):
-            return
-        for j in range(k + 1, n):
-            if s[k][j] == 0:
-                continue
-            if s[k][j] % s[k][k] == 0:
-                q = s[k][j] // s[k][k]
-                for row in s:
-                    row[j] -= q * row[k]
-                for row in v:
-                    row[j] -= q * row[k]
-                continue
-            g, x, y = xgcd(s[k][k], s[k][j])
-            p, q = s[k][k] // g, s[k][j] // g
-            for row in s:
-                row[k], row[j] = x * row[k] + y * row[j], -q * row[k] + p * row[j]
-            for row in v:
-                row[k], row[j] = x * row[k] + y * row[j], -q * row[k] + p * row[j]
-        if all(s[i][k] == 0 for i in range(k + 1, m)):
-            return
-
-
-def snf(a) -> SNFResult:
-    """Smith normal form with both unimodular transforms."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s = [list(map(int, row)) for row in a]
-    u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
-    t = min(m, n)
-    for k in range(t):
-        piv = next(
-            ((i, j) for i in range(k, m) for j in range(k, n) if s[i][j] != 0),
-            None,
-        )
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != k:
-            s[k], s[pi] = s[pi], s[k]
-            u[k], u[pi] = u[pi], u[k]
-        if pj != k:
-            for row in s:
-                row[k], row[pj] = row[pj], row[k]
-            for row in v:
-                row[k], row[pj] = row[pj], row[k]
-        _snf_clear_at(s, u, v, k)
-    # enforce the divisibility chain d1 | d2 | ...
-    while True:
-        dirty = False
-        for k in range(t - 1):
-            dk, dk1 = s[k][k], s[k + 1][k + 1]
-            if dk != 0 and dk1 % dk != 0:
-                for row in s:
-                    row[k] += row[k + 1]
-                for row in v:
-                    row[k] += row[k + 1]
-                _snf_clear_at(s, u, v, k)
-                dirty = True
-        if not dirty:
-            break
-    for k in range(t):
-        if s[k][k] < 0:
-            s[k] = [-x for x in s[k]]
-            u[k] = [-x for x in u[k]]
-    return SNFResult(tuple(map(tuple, s)), tuple(map(tuple, u)), tuple(map(tuple, v)))
+    h = _nonzero_hnf(a)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = _nonzero_hnf(transpose(h))
+    d = [h[i][i] for i in range(len(h))]
+    # diag(a, b) and diag(gcd, lcm) have the same Smith form
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 def saturation_basis(rows, n: int) -> tuple[IntVec, ...]:
-    """Basis of span_Q(rows) intersected with Z^n, HNF-canonicalised.
+    """Basis of span_Q(rows) intersected with Z^n, in Hermite normal form.
 
-    If S = U.A.V is the Smith form of the row matrix A, the first
-    rank-many rows of V^-1 span the saturation.
+    Let B be the nonzero Hermite rows of ``rows`` and T those of B^T, a
+    basis of the lattice that B's columns generate.  Then c . B is
+    integral iff c lies in the dual of that lattice, whose basis is the
+    w_i with T . w_i = e_i, so the rows w_i . B span the saturation.
     """
-    res = snf(rows)
+    b = _nonzero_hnf(rows)
+    cols = transpose(b)
+    t = _nonzero_hnf(cols)
     basis = []
-    vt = transpose(res.V)
-    for i in range(res.rank):
-        # row i of V^-1 solves x . V = e_i
-        row = solve_rational(vt, [int(i == j) for j in range(n)])
-        if any(x.denominator != 1 for x in row):
-            raise InternalError("the inverse of a unimodular Smith transform is not integral")
-        basis.append(tuple(x.numerator for x in row))
-    h, _ = hnf(basis)
-    return tuple(h[: res.rank])
+    for e in identity(len(t)):
+        d, w = _integer_row(solve_rational(t, e))
+        row = [divmod(dot(w, col), d) for col in cols]
+        if any(rem for _, rem in row):
+            raise InternalError("a dual lattice vector does not give an integral row")
+        basis.append([q for q, _ in row])
+    return hnf(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +382,10 @@ def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
     d = math.lcm(*dens) if dens else 1
     rows = [tuple(int(f * d) for f in g) for g in fracs]
     rows += [tuple(d * x for x in e) for e in identity(dim)]
-    h, _ = hnf(rows)
-    basis = [row for row in h if any(row)]
+    basis = _nonzero_hnf(rows)
     if len(basis) != dim:
         raise NotFullRank("generators plus the standard basis do not span")
-    g = d
-    for row in basis:
-        for x in row:
-            g = math.gcd(g, abs(x))
+    g = math.gcd(d, *(x for row in basis for x in row))
     num = tuple(tuple(x // g for x in row) for row in basis)
     return LatticeBasis(dim, num, d // g)
 

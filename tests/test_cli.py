@@ -49,6 +49,8 @@ def test_parse_germ_positioned_errors():
         parse_germ('{"dim":2,"rays":[[0,1],[5]]}')
     with pytest.raises(ParseError, match=r"boundary\[0\]"):
         parse_germ('{"dim":2,"rays":[[0,1],[5,1]],"boundary":["x",0]}')
+    with pytest.raises(ParseError, match="dim"):
+        parse_germ('{"dim":true,"rays":[[1]]}')
 
 
 def test_germ_doc_roundtrip():
