@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -36,6 +37,13 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{text!r} is not a rational 'p/q'") from exc
+
+
+def _parse_window(args) -> tuple[Fraction, Fraction]:
+    low, high = _parse_fraction(args.low), _parse_fraction(args.high)
+    if not (0 < low <= high):
+        raise ParseError("window must satisfy 0 < low <= high")
+    return low, high
 
 
 def _parse_point(text: str, dim: int):
@@ -106,10 +114,11 @@ def _cmd_oracle_mld(args) -> dict:
     if args.low is not None or args.high is not None:
         if args.low is None or args.high is None:
             raise ParseError("oracle window mode needs both --low and --high")
-        pts = oracle.oracle_window(germ, _parse_fraction(args.low), _parse_fraction(args.high))
+        low, high = _parse_window(args)
+        pts = oracle.oracle_window(germ, low, high)
         return {
-            "low": args.low,
-            "high": args.high,
+            "low": format_q(low),
+            "high": format_q(high),
             "count": len(pts),
             "points": [[_point_out(p), format_q(v)] for p, v in pts],
         }
@@ -129,10 +138,7 @@ def _cmd_pi1(args) -> dict:
 
 def _cmd_window(args) -> dict:
     germ = _load_germ(args.germ)
-    try:
-        wc = count_window(germ, _parse_fraction(args.low), _parse_fraction(args.high))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    wc = count_window(germ, *_parse_window(args))
     return {
         "low": format_q(wc.low),
         "high": format_q(wc.high),
@@ -232,6 +238,8 @@ def _cmd_scan(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# built at the first main call and kept: a build leaves hundreds of objects of cyclic garbage
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricmld",
@@ -249,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("mld", _cmd_mld, "minimal log discrepancy and all minimizers")
-    p.add_argument("--bound", help="override the enumeration bound (rational)")
+    p.add_argument("--bound", help="a bound the mld must not exceed (rational)")
 
     p = add("oracle-mld", _cmd_oracle_mld, "brute-force oracle (mld, or window with --low/--high)")
     p.add_argument("--bound", help="override the enumeration bound (rational)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -181,110 +182,80 @@ class Rebased:
 
 
 # ---------------------------------------------------------------------------
-# lattice point enumeration: Fourier-Motzkin projections give exact
-# per-prefix coordinate bounds, so the recursion only ever visits
-# integer points of rational projections of the search polytope.
+# lattice point enumeration: the half-open simplicial cells of a pulling
+# triangulation hold each interior lattice point once (Koeppe and
+# Verdoolaege, Electron. J. Combin. 15, 2008), and the lattice points of a
+# cell are its box points plus rays (Borisov, Manuscripta Math. 1997).
 
 
-def _normalize_rows(rows):
-    out = {}
-    for coeffs, const in rows:
-        g = vec_gcd(coeffs)
-        g = math.gcd(g, abs(const))
-        if g == 0:
-            continue
-        key = tuple(x // g for x in coeffs)
-        val = const // g if const % g == 0 else Fraction(const, g)
-        if all(x == 0 for x in key):
-            # 0 >= c is vacuous for c <= 0.  For c > 0 the system is
-            # infeasible, and dropping the row is still sound: the walk
-            # emits only points that satisfy every non-constant row of
-            # every level, so every original row, and so it emits none.
-            continue
-        if key not in out or out[key] < val:
-            out[key] = val
-    return [(k, v) for k, v in out.items()]
+def _cells(cone: Cone) -> list[tuple[int, ...]]:
+    """The cells of the pulling triangulation of a full-dimensional cone
+    by its rays in order, as tuples of ray indices.  A face of dimension k
+    with k rays is a cell; otherwise its first ray is coned over the cells
+    of each facet that misses it, the facets being its intersections with
+    the cone's facets that have rank k - 1."""
+    rays = cone.rays
+    on_facet = [{i for i, r in enumerate(rays) if dot(h, r) == 0} for h in cone.facets]
+
+    def triangulate(face: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+        if len(face) == k:
+            return [face]
+        subs = dict.fromkeys(tuple(i for i in face if i in s) for s in on_facet if face[0] not in s)
+        return [
+            (face[0], *cell)
+            for sub in subs
+            if linalg.rank([rays[i] for i in sub]) == k - 1
+            for cell in triangulate(sub, k - 1)
+        ]
+
+    return triangulate(tuple(range(len(rays))), cone.n)
 
 
-def _fm_eliminate(rows, k):
-    """Project {x : coeffs . x >= const} onto the first k coordinates."""
-    pos, neg, zero = [], [], []
-    for coeffs, const in rows:
-        a = coeffs[k]
-        if a > 0:
-            pos.append((coeffs, const))
-        elif a < 0:
-            neg.append((coeffs, const))
-        else:
-            zero.append((coeffs[:k], const))
-    for (cp, dp) in pos:
-        for (cq, dq) in neg:
-            ap, aq = cp[k], cq[k]
-            coeffs = tuple(-aq * x + ap * y for x, y in zip(cp[:k], cq[:k]))
-            zero.append((coeffs, -aq * dp + ap * dq))
-    return _normalize_rows(zero)
+def _box_points(rb: Rebased):
+    """The least lattice point of each coset in each half-open cell, as
+    (point, L numerator, cell rays, their L numerators).
 
-
-def _fm_cascade(n, rows):
-    systems = [None] * (n + 1)
-    systems[n] = _normalize_rows(rows)
-    for j in range(n - 1, 0, -1):
-        systems[j] = _fm_eliminate(systems[j + 1], j)
-    return systems
-
-
-def _ceil_div(p, q):
-    # q > 0
-    return -((-p) // q)
-
-
-def _enumerate_polytope_points(n, int_rows):
-    """All integer points of {x in Z^n : coeffs . x >= const for each row}.
-
-    The system must describe a bounded nonempty polytope.
+    A point u belongs to the cell whose interior holds u - t*y for small
+    t > 0, with y the ray sum perturbed lexicographically along the
+    coordinates, so a cell facet with inward normal w is closed iff the
+    first nonzero entry of (w . y, w_1, ..., w_n) is negative; the cone's
+    own facets are open.  For cell rays V and d = |det V|, the cosets are
+    the u with 0 <= u_j < H_jj, H = hnf(V), and d times u's coordinates in
+    V is u . (d V^-1) mod d, where a 0 becomes d if its facet is open.
     """
-    systems = _fm_cascade(n, int_rows)
-    out = []
-    point = [0] * n
-
-    def walk(depth):
-        lo, hi = None, None
-        for coeffs, const in systems[depth + 1]:
-            a = coeffs[depth]
-            if a == 0:
-                continue
-            s = const - sum(coeffs[i] * point[i] for i in range(depth))
-            if a > 0:
-                b = _ceil_div(s, a)
-                lo = b if lo is None or b > lo else lo
-            else:
-                b = s // a
-                hi = b if hi is None or b < hi else hi
-        if lo is None or hi is None:
-            raise InternalError("search region is unbounded")
-        for t in range(lo, hi + 1):
-            point[depth] = t
-            if depth + 1 == n:
-                out.append(tuple(point))
-            else:
-                walk(depth + 1)
-
-    walk(0)
-    return out
+    cone, l_num, n = rb.cone, rb.l_num, rb.cone.n
+    y = tuple(map(sum, zip(*cone.rays)))
+    for cell in _cells(cone):
+        v = [cone.rays[i] for i in cell]
+        ells = [dot(l_num, r) for r in v]
+        h = linalg.hnf(v)
+        d = math.prod(h[j][j] for j in range(n))
+        # w[i] is d times the dual vector of v[i], the inward normal of the facet opposite v[i]
+        w = [tuple(int(d * x) for x in linalg.solve_rational(v, e)) for e in linalg.identity(n)]
+        closed = [next(x for x in (dot(wi, y), *wi) if x) < 0 for wi in w]
+        mus = [(0,) * n]
+        for j in range(n):
+            step = [wi[j] for wi in w]
+            mus = [tuple(m + t * s for m, s in zip(mu, step)) for mu in mus for t in range(h[j][j])]
+        for mu in mus:
+            c = [x % d or (0 if cl else d) for x, cl in zip(mu, closed)]
+            yield tuple(dot(c, col) // d for col in zip(*v)), dot(c, ells) // d, v, ells
 
 
-def _interior_points_upto(rb: Rebased, b_num: int):
+def _interior_points_upto(boxes, b_num: int):
     """Interior lattice points u of the cone with 0 < L(u) <= b_num / den,
-    paired with the numerator of L(u), in rebased coordinates."""
-    facets, l_num = rb.cone.facets, rb.l_num
-    rows = [(f, 0) for f in facets]
-    rows.append((tuple(-x for x in l_num), -b_num))
+    paired with the numerator of L(u), in rebased coordinates: each least
+    point of ``boxes`` (``_box_points``) plus the nonnegative combinations
+    of its cell's rays that stay within the bound."""
     result = []
-    for p in _enumerate_polytope_points(rb.cone.n, rows):
-        if all(dot(f, p) > 0 for f in facets):
-            val = dot(l_num, p)
-            if val > 0:
-                result.append((p, val))
+    # rays are added in nonincreasing index order, so each combination comes once
+    stack = [(p, val, len(rays), rays, ells) for p, val, rays, ells in boxes if val <= b_num]
+    while stack:
+        p, val, top, rays, ells = stack.pop()
+        result.append((p, val))
+        for i in range(top):
+            if val + ells[i] <= b_num:
+                stack.append((tuple(map(operator.add, p, rays[i])), val + ells[i], i + 1, rays, ells))
     return result
 
 
@@ -320,23 +291,20 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
     """Minimum of the log discrepancy functional over interior lattice
     points, with every minimizer.
 
-    The default enumeration bound is L(sum of rays); the ray sum is an
-    interior lattice point, so the region {L <= bound} is certified to
-    contain the minimum.
+    Every interior lattice point is a box point plus rays of positive L, so
+    the minimizers are the box points of least L.  The ray sum is an
+    interior lattice point, so L(ray sum), the default bound, certifies the
+    minimum; BoundBelowMinimum is raised iff the minimum exceeds the bound.
     """
     rb = germ.rebased
-    if bound is None:
-        b_num = rb.ray_sum_value()
-        b = Fraction(b_num, rb.den)
-    else:
-        b = Fraction(bound)
-        b_num = math.floor(b * rb.den)
-    pts = _interior_points_upto(rb, b_num)
-    if not pts:
+    b = Fraction(rb.ray_sum_value(), rb.den) if bound is None else Fraction(bound)
+    b_num = math.floor(b * rb.den)
+    pts = [(p, v) for p, v, _, _ in _box_points(rb)]
+    value = min(v for _, v in pts)
+    if value > b_num:
         raise BoundBelowMinimum(
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
-    value = min(v for _, v in pts)
     minimizers = sorted(germ.lattice.to_ambient(p) for p, v in pts if v == value)
     return MldResult(Fraction(value, rb.den), tuple(minimizers), b)
 
@@ -349,7 +317,7 @@ def count_window(germ: ToricGerm, low, high) -> WindowCount:
     rb = germ.rebased
     # integer numerators v with lo <= v / den < hi
     lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
-    pts = _interior_points_upto(rb, hi_num - 1)
+    pts = _interior_points_upto(_box_points(rb), hi_num - 1)
     kept = sorted(
         (germ.lattice.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
     )
@@ -361,18 +329,15 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     with log discrepancy in [mld, mld + delta).
 
     Equal to ``mld(germ).value`` and ``count_window(germ, m, m + delta).count``
-    for each delta, from one enumeration up to L(sum of rays), plus a
-    second one up to mld + max(deltas) only when that exceeds it.
+    for each delta.  The mld is the least value over the box points, and
+    one lift of them up to mld + max(deltas) gives every count.
     """
     rb = germ.rebased
-    bound = rb.ray_sum_value()
-    pts = _interior_points_upto(rb, bound)
-    m = min(v for _, v in pts)
+    boxes = list(_box_points(rb))
+    m = min(v for _, v, _, _ in boxes)
     # the largest numerator inside [m, m + delta)
     tops = [m + math.ceil(Fraction(d) * rb.den) - 1 for d in deltas]
-    if tops and max(tops) > bound:
-        pts = _interior_points_upto(rb, max(tops))
-    values = sorted(v for _, v in pts)
+    values = sorted(v for _, v in _interior_points_upto(boxes, max(tops))) if tops else []
     return Fraction(m, rb.den), tuple(bisect.bisect_right(values, top) for top in tops)
 
 

@@ -1,0 +1,115 @@
+"""The box-point enumerator in ``toricmld.invariants`` (half-open cells of
+a pulling triangulation), checked against the Fourier-Motzkin enumeration
+it replaced (``fm_reference``) and, on germs small enough to scan, against
+the brute-force oracle."""
+
+import itertools
+from collections import Counter
+from fractions import Fraction as F
+
+from conftest import _box_volume
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fm_reference as ref
+import toricmld as t
+from toricmld import oracle
+from toricmld.errors import BoundBelowMinimum, ToricError
+from toricmld.invariants import mld_window_counts
+from toricmld.linalg import rank
+
+COEFFS = (F(0), F(1, 2), F(2, 3), F(3, 4))
+ORACLE_CAP = 2_000  # points in the oracle's search box
+DODECAGON = ((0, 0), (1, 0), (3, 1), (4, 2), (5, 4), (5, 5), (4, 6), (3, 6), (1, 5), (0, 4), (-1, 2), (-1, 1))
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the ToricError it raises."""
+    try:
+        return f(*args)
+    except ToricError as exc:
+        return type(exc)
+
+
+@st.composite
+def germs(draw):
+    """Germs in dims 1-5 of three kinds: simplicial cones over independent
+    vectors with a positive last coordinate and any boundary; cones at
+    height one over vertices of a lattice 12-gon (dim 3, up to 11 rays) or
+    of the unit cube (dims 4 and 5; at most 9 in dim 5, where the
+    reference's cascade grows fastest), whose one boundary coefficient on
+    every ray keeps them Q-Cartier; and sampler germs.  Some live in the
+    lattice Z^n + Z v/k, for a v that keeps every ray primitive."""
+    kind = draw(st.sampled_from(("height one", "simplicial", "sampler")))
+    n = draw(st.integers({"height one": 3, "simplicial": 1, "sampler": 2}[kind], 5))
+    if kind == "sampler":
+        try:
+            germ = t.sample_random(n, n + 2, 2, draw(st.integers(0, 10**6)))
+        except t.ToricError:
+            assume(False)
+        cone, boundary = germ.cone, germ.boundary
+    elif kind == "height one":
+        # every vertex spans a ray
+        size = draw(st.integers(n + 1, {3: 11, 4: 8, 5: 9}[n]))
+        base = st.sampled_from(DODECAGON) if n == 3 else st.tuples(*[st.integers(0, 1)] * (n - 1))
+        pts = draw(st.lists(base, min_size=size, max_size=size, unique=True))
+        gens = [p + (1,) for p in pts]
+        assume(rank(gens) == n)
+        cone = t.make_cone(n, gens)
+        boundary = [draw(st.sampled_from(COEFFS))] * len(cone.rays)
+    else:
+        c = {1: 1, 2: 5, 3: 3, 4: 2, 5: 1}[n]
+        gens = [
+            tuple(draw(st.integers(-c, c)) for _ in range(n - 1)) + (draw(st.integers(1, c)),)
+            for _ in range(n)
+        ]
+        assume(rank(gens) == n)
+        cone = t.make_cone(n, gens)
+        boundary = [draw(st.sampled_from(COEFFS)) for _ in cone.rays]
+    lattice = None
+    # a ray r stays primitive in Z^n + Z v/k iff r is not j v mod k for any j
+    k = draw(st.sampled_from((1, 2, 3)))
+    extensions = [
+        v
+        for v in itertools.product(range(k), repeat=n)
+        if any(v)
+        and not any(all((x - j * y) % k == 0 for x, y in zip(r, v)) for r in cone.rays for j in range(k))
+    ]
+    if extensions:
+        v = draw(st.sampled_from(extensions))
+        lattice = t.lattice_from_generators(n, [tuple(F(x, k) for x in v)])
+    return t.make_germ(cone, boundary, lattice)
+
+
+def test_box_points_match_the_fm_reference_and_the_oracle():
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(germs(), st.data())
+    def check(germ, data):
+        m = ref.mld(germ)
+        assert t.mld(germ) == m
+        bound = m.value + F(data.draw(st.integers(-4, 4)), 4)
+        got = outcome(t.mld, germ, bound)
+        assert got == outcome(ref.mld, germ, bound)
+        low = max(F(1, 4), m.value + F(data.draw(st.integers(-2, 4)), 4))
+        high = low + F(data.draw(st.integers(0, 6)), 4)
+        window = t.count_window(germ, low, high)
+        assert window == ref.count_window(germ, low, high)
+        deltas = data.draw(st.lists(st.sampled_from((F(1, 4), F(1, 2), F(1), F(5, 2))), max_size=3))
+        assert mld_window_counts(germ, deltas) == ref.mld_window_counts(germ, deltas)
+
+        seen[f"dim {germ.dim}"] += 1
+        seen["non-simplicial"] += len(germ.cone.rays) > germ.dim
+        seen["9 or more rays"] += len(germ.cone.rays) >= 9
+        seen["boundary"] += any(germ.boundary)
+        seen["extended lattice"] += not germ.lattice.is_standard
+        seen["below minimum"] += got is BoundBelowMinimum
+        if _box_volume(germ) <= ORACLE_CAP:
+            seen["oracle"] += 1
+            assert oracle.oracle_mld(germ) == (m.value, m.minimizers)
+            assert oracle.oracle_window(germ, low, high) == window.points
+
+    check()
+    kinds = ["non-simplicial", "9 or more rays", "boundary", "extended lattice", "below minimum", "oracle"]
+    assert all(seen[kind] for kind in kinds + [f"dim {n}" for n in range(1, 6)]), seen

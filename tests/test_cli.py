@@ -1,13 +1,17 @@
 import io
 import contextlib
 import json
+import os
 import re
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import toricmld as t
-from toricmld import invariants
+from toricmld import cli, invariants
 from toricmld.cli import main
 from toricmld.errors import ParseError, ValidationError
 from toricmld.germio import germ_doc, parse_germ
@@ -100,12 +104,14 @@ def test_cli_check(germ_file):
 
 def test_cli_oracle_agrees(germ_file):
     path = germ_file({"dim": 2, "rays": [[0, 1], [7, 1]]})
-    _, main_out, _ = run("mld", path)
-    _, oracle_out, _ = run("oracle-mld", path)
-    assert main_out == oracle_out
-    _, main_w, _ = run("window", path, "--low", "1", "--high", "2")
-    _, oracle_w, _ = run("oracle-mld", path, "--low", "1", "--high", "2")
-    assert json.loads(main_w)["points"] == json.loads(oracle_w)["points"]
+    assert run("mld", path) == run("oracle-mld", path)
+    for low, high in (("1", "2"), ("2/4", "1"), ("2", "1"), ("0", "1")):
+        window = ("--low", low, "--high", high)
+        assert run("window", path, *window) == run("oracle-mld", path, *window)
+    assert json.loads(run("oracle-mld", path, "--low", "2/4", "--high", "1")[1])["low"] == "1/2"
+    assert run("oracle-mld", path, "--low", "0", "--high", "1") == (
+        1, "", "error: ParseError: window must satisfy 0 < low <= high\n"
+    )
 
 
 def test_cli_validation_exit_codes(germ_file):
@@ -173,13 +179,19 @@ def test_cli_point_of_the_wrong_length(germ_file):
 
 def test_cli_bound_below_minimum(germ_file):
     ex1 = germ_file({"dim": 2, "rays": [[0, 1], [5, 1]]}, "ex1.json")
-    # at --bound=-1 a Fourier-Motzkin projection holds a constant row
-    # 0 >= c with c > 0, which the cascade drops
     ex3 = germ_file({"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 4]]}, "ex3.json")
     for path, bound in ((ex1, "1/2"), (ex3, "-1"), (ex3, "0")):
         code, out, err = run("mld", path, f"--bound={bound}")
         assert code == 1 and out == ""
         assert err.startswith("error: BoundBelowMinimum: ")
+
+
+def test_cli_mld_cost_does_not_grow_with_the_bound(germ_file):
+    path = germ_file({"dim": 2, "rays": [[0, 1], [3, 1]]})
+    start = time.perf_counter()
+    code, out, _ = run("mld", path, "--bound", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (0, '{"mld":"1","minimizers":[[1,1],[2,1]]}\n')
 
 
 def test_cli_out_and_pretty(germ_file, tmp_path):
@@ -324,3 +336,59 @@ def test_cli_stdin(germ_file, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim":2,"rays":[[0,1],[3,1]]}'))
     code, out, _ = run("pi1", "-")
     assert code == 0 and json.loads(out)["order"] == "3"
+
+
+def test_cli_reuses_one_parser_with_unchanged_outputs(germ_file, tmp_path):
+    """Every subcommand twice in one process, with a usage error and a
+    domain error in between, reads as on a freshly built parser."""
+    path = germ_file({"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"families": [{"name": "ex1", "param_range": [2, 4]}], "grid": GRID}))
+    commands = [
+        ("mld", path, "--bound", "3"),
+        ("oracle-mld", path, "--low", "1", "--high", "3"),
+        ("pi1", path),
+        ("window", path, "--low", "1", "--high", "3"),
+        ("mld", path, "--jobs", "2"),  # usage error
+        ("check", path, "--epsilon", "1/2", "--delta", "1/2"),
+        ("trichotomy", path, "--point", "1,1,0"),
+        ("decompose", path, "--point", "1,1,0", "--pretty"),
+        ("mld", path, "--bound", "1/2"),  # domain error
+        ("blowup", path),
+        ("family", "--name", "ex3", "--param", "4"),
+        ("scan", "--spec", str(spec)),
+    ]
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(run(*argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0]
+    cli._build_parser.cache_clear()
+    assert [run(*argv) for argv in commands + commands] == fresh + fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_cli_as_a_process(monkeypatch):
+    """``python -m toricmld.cli`` reads argv and stdin and exits with the
+    code and output of an in-process ``main`` call."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def process(*argv, stdin=""):
+        done = subprocess.run(
+            [sys.executable, "-m", "toricmld.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    family = process("family", "--name", "ex3", "--param", "4")
+    assert family == run("family", "--name", "ex3", "--param", "4")
+    germ = family[1]
+    codes = []
+    for argv in (("mld", "-"), ("window", "-", "--low", "1", "--high", "2"),
+                 ("mld", "-", "--nosuch"), ("mld", "-", "--bound", "1/2")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(germ))
+        expected = run(*argv)
+        assert process(*argv, stdin=germ) == expected
+        codes.append(expected[0])
+    assert codes == [0, 0, 2, 1]

@@ -13,7 +13,7 @@ from toricmld.errors import (
     NotQCartier,
     ValidationError,
 )
-from toricmld.invariants import _enumerate_polytope_points
+from fm_reference import _enumerate_polytope_points
 
 F = Fraction
 
