@@ -4,24 +4,26 @@ A cone is stored by its primitive extremal rays together with an eagerly
 computed facet description (primitive inward normals).  The dual
 description is obtained by the double description method in integers:
 it starts from the simplicial cone of n independent generators and adds
-the others one inequality at a time.  Extremality and membership are
-read off the facets.  Relative interiors of ray subsets take one linear
-solve, and the facets only when the rays are dependent.  Cones that do
-not span the ambient space are handled by rebasing to a basis of span
-intersect Z^n and recursing in lower dimension.
+the others one inequality at a time.  Extremality is read off its
+tight-row bitmasks and membership off the facets.  Relative interiors
+of ray subsets take one linear solve, and the facets only when the rays
+are dependent.  Cones that do not span the ambient space are handled by
+rebasing to a basis of span intersect Z^n and recursing in lower
+dimension.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyInput, NotFullRank, NotInCone, NotStronglyConvex, ZeroVector
-from .linalg import IntVec, dot, mat_mul, mat_vec, primitive, primitive_direction, rank, transpose
+from .errors import EmptyInput, NotFullRank, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
+from .linalg import IntVec, dot, mat_mul, mat_vec, primitive, rank, transpose
 
 
 class Membership(Enum):
@@ -79,18 +81,14 @@ def _double_description(ineqs: Sequence[IntVec], start: Sequence[int]):
     """Extreme rays of {y : a . y >= 0 for every row a of ineqs}.
 
     ``start`` indexes n independent rows B, with n the ambient dimension.
-    cone(B) is simplicial, so its dual's rays y_j solve B . y_j = e_j, and
-    y_j is tight on every row of B but row j.  The other rows are then
-    added one at a time; rays carry the bitmask of the rows they satisfy
-    with equality, which feeds the standard combinatorial adjacency test.
+    cone(B) is simplicial, so its dual's rays are B's dual basis w_j, and
+    w_j is tight on every row of B but row j.  The other rows are then
+    added one at a time.  Returns (ray, bitmask of the rows the ray is
+    tight on) pairs; the bitmasks feed the combinatorial adjacency test.
     """
-    n = len(start)
-    b = [ineqs[i] for i in start]
     tight = sum(1 << i for i in start)
-    rays: list[tuple[IntVec, int]] = []
-    for j, i in enumerate(start):
-        y = linalg.solve_rational(b, [int(k == j) for k in range(n)])
-        rays.append((primitive_direction(y), tight & ~(1 << i)))
+    _, w = linalg.dual_basis([ineqs[i] for i in start])
+    rays = [(primitive(wj), tight & ~(1 << i)) for wj, i in zip(w, start)]
     for idx, a in enumerate(ineqs):
         if tight >> idx & 1:
             continue
@@ -118,16 +116,17 @@ def _double_description(ineqs: Sequence[IntVec], start: Sequence[int]):
                 seen.add(r)
                 merged.append((r, z))
         rays = merged
-    return [r for r, _ in rays]
+    return rays
 
 
 def _lift_normals(inner_facets, span_basis):
     """Pull facet normals computed in span coordinates back to the ambient
     space: h = h' . (B B^T)^-1 . B evaluates like h' on span points.  The
-    Gram matrix B B^T is symmetric, so each normal takes one solve."""
+    Gram matrix B B^T is symmetric, so its dual basis is D (B B^T)^-1 and
+    one call serves every normal."""
     cols = transpose(span_basis)
-    gram = mat_mul(span_basis, cols)
-    return [primitive_direction(mat_vec(cols, linalg.solve_rational(gram, h))) for h in inner_facets]
+    lift = mat_mul(cols, linalg.dual_basis(mat_mul(span_basis, cols))[1])
+    return [primitive(mat_vec(lift, h)) for h in inner_facets]
 
 
 def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
@@ -150,12 +149,14 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
         out_rays = tuple(sorted(tuple(dot(c, col) for col in zip(*sat)) for c in inner.rays))
         out_facets = tuple(sorted(_lift_normals(inner.facets, sat)))
         return Cone(n, out_rays, out_facets, inner.dim, span=sat)
-    dual_rays = _double_description(prims, basis)
-    if rank(dual_rays) < n:
+    dual = _double_description(prims, basis)
+    if rank([f for f, _ in dual]) < n:
         raise NotStronglyConvex("cone contains a line")
-    # incidence test: a generator is extremal iff the facets tight at it have rank n - 1
-    extremal = [p for p in prims if rank([f for f in dual_rays if dot(f, p) == 0]) == n - 1]
-    return Cone(n, tuple(extremal), tuple(sorted(dual_rays)), n, span=None)
+    # t[k] is the bitmask of the facets tight at generator k, which is
+    # extremal iff no other generator is tight on all of them
+    t = [sum(1 << j for j, (_, z) in enumerate(dual) if z >> k & 1) for k in range(len(prims))]
+    extremal = [p for k, p in enumerate(prims) if all(q == k or s & t[k] != t[k] for q, s in enumerate(t))]
+    return Cone(n, tuple(extremal), tuple(sorted(f for f, _ in dual)), n, span=None)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -167,7 +168,10 @@ def dual_cone(c: Cone) -> Cone:
 
 
 def membership(c: Cone, v: Sequence) -> Membership:
-    v = tuple(Fraction(x) for x in v)
+    if len(v) != c.n:
+        raise ValidationError(f"a point of length {len(v)} in dimension {c.n}")
+    d = math.lcm(*[x.denominator for x in v])  # v scaled to ints, by d > 0
+    v = [x.numerator * (d // x.denominator) for x in v]
     if c.span is not None and linalg.solve_rational(transpose(c.span), v) is linalg.INCONSISTENT:
         return Membership.OUTSIDE
     vals = [dot(f, v) for f in c.facets]
@@ -209,9 +213,8 @@ def is_simplicial(c: Cone) -> bool:
 
 def minimal_face_containing(c: Cone, v: Sequence) -> Face:
     """The unique face whose relative interior contains v."""
-    v = tuple(Fraction(x) for x in v)
     if membership(c, v) is Membership.OUTSIDE:
-        raise NotInCone(f"{v} is not in the cone")
+        raise NotInCone(f"{tuple(Fraction(x) for x in v)} is not in the cone")
     zero_facets = [f for f in c.facets if dot(f, v) == 0]
     idx = tuple(i for i, r in enumerate(c.rays) if all(dot(f, r) == 0 for f in zero_facets))
     return Face(c, idx)

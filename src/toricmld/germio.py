@@ -16,12 +16,12 @@ from .linalg import lattice_from_generators, primitive
 
 
 def format_q(x) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def coord_out(x):
     """Coordinate for JSON output: int when integral, else 'p/q'."""
-    f = Fraction(x)
+    f = x if type(x) is int else Fraction(x)
     return int(f) if f.denominator == 1 else str(f)
 
 

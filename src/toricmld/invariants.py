@@ -152,9 +152,7 @@ def log_disc_functional(germ: ToricGerm) -> LogDiscFunctional:
     canonical divisor is not Q-Cartier at the point; an underdetermined
     system means the cone is not full-dimensional.
     """
-    rows = [tuple(Fraction(x) for x in ray) for ray in germ.cone.rays]
-    rhs = [1 - Fraction(b) for b in germ.boundary]
-    sol = linalg.solve_rational(rows, rhs)
+    sol = linalg.solve_rational(germ.cone.rays, [1 - Fraction(b) for b in germ.boundary])
     if sol is INCONSISTENT:
         raise NotQCartier("no linear functional matches all ray values")
     if sol is UNDERDETERMINED:
@@ -229,9 +227,8 @@ def _box_points(rb: Rebased):
         v = [cone.rays[i] for i in cell]
         ells = [dot(l_num, r) for r in v]
         h = linalg.hnf(v)
-        d = math.prod(h[j][j] for j in range(n))
         # w[i] is d times the dual vector of v[i], the inward normal of the facet opposite v[i]
-        w = [tuple(int(d * x) for x in linalg.solve_rational(v, e)) for e in linalg.identity(n)]
+        d, w = linalg.dual_basis(v)
         closed = [next(x for x in (dot(wi, y), *wi) if x) < 0 for wi in w]
         mus = [(0,) * n]
         for j in range(n):

@@ -167,7 +167,8 @@ def sample_random(n: int, max_rays: int, coord_bound: int, seed: int) -> ToricGe
             continue
         if cone.dim < n:
             continue
-        if rng.random() < 0.5:
+        # the top bit of the first 32-bit word: random() < 0.5 without a float
+        if not (rng.getrandbits(64) >> 31) & 1:
             boundary = None
         else:
             boundary = [rng.choice(_COEFF_CHOICES) for _ in cone.rays]

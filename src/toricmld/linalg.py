@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,9 +55,7 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 def primitive_direction(v: Sequence) -> IntVec:
     """Primitive integer vector spanning the same ray as a rational vector."""
-    fracs = [Fraction(x) for x in v]
-    den = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
-    return primitive(tuple(int(f * den) for f in fracs))
+    return primitive(_integer_row([Fraction(x) for x in v])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +82,8 @@ def mat_mul(a, b) -> tuple:
 def _integer_row(row) -> tuple[int, list[int]]:
     """(d, d * row) with d the lcm of the row's denominators, so that
     d * row is a list of ints (d is 1 for a row of ints)."""
+    if all(type(x) is int for x in row):
+        return 1, list(row)
     d = math.lcm(*[x.denominator for x in row])
     return d, [(x * d).numerator for x in row]
 
@@ -189,15 +190,33 @@ def solve_rational(a, b):
         return INCONSISTENT
     if len(pivots) < n:
         return UNDERDETERMINED
-    # rows[:n] are upper triangular and their last pivot d is the
-    # determinant of the equations they came from, so by Cramer's rule
-    # d * x is integral and the back substitution divides exactly
+    d = rows[n - 1][n - 1] if n else 1
+    return tuple(Fraction(x, d) for x in _back_substitute(rows, n, n))
+
+
+def _back_substitute(rows: list[list[int]], n: int, col: int) -> list[int]:
+    """d * x for U . x = column ``col`` of eliminated rows with U = rows[:n][:n]
+    nonsingular: its last pivot d is the determinant of the equations U came
+    from, so by Cramer's rule d * x is integral and every division is exact."""
     d = rows[n - 1][n - 1] if n else 1
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(x, d) for x in y)
+        y[i] = (d * row[col] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return y
+
+
+def dual_basis(a) -> tuple[int, tuple[IntVec, ...]]:
+    """(D, w) for a square nonsingular integer matrix a: D = |det a| and
+    int rows w_i with w_i . a_j = D [i = j], the columns of D a^-1.  One
+    elimination of [a | I], one back substitution per column of I; a
+    singular a raises InternalError."""
+    n = len(a)
+    rows = [[*row, *e] for row, e in zip(a, identity(n))]
+    if len(_eliminate(rows, n)[0]) < n:
+        raise InternalError("dual basis of a singular matrix")
+    d = rows[n - 1][n - 1] if n else 1
+    return abs(d), tuple(tuple(x if d > 0 else -x for x in _back_substitute(rows, n, n + i)) for i in range(n))
 
 
 def echelon_coords(rows, v) -> IntVec | None:
@@ -315,14 +334,14 @@ def saturation_basis(rows, n: int) -> tuple[IntVec, ...]:
     Let B be the nonzero Hermite rows of ``rows`` and T those of B^T, a
     basis of the lattice that B's columns generate.  Then c . B is
     integral iff c lies in the dual of that lattice, whose basis is the
-    w_i with T . w_i = e_i, so the rows w_i . B span the saturation.
+    w_i / D of ``dual_basis(T)``, so the rows w_i . B / D span the
+    saturation.
     """
     b = _nonzero_hnf(rows)
     cols = transpose(b)
-    t = _nonzero_hnf(cols)
+    d, ws = dual_basis(_nonzero_hnf(cols))
     basis = []
-    for e in identity(len(t)):
-        d, w = _integer_row(solve_rational(t, e))
+    for w in ws:
         row = [divmod(dot(w, col), d) for col in cols]
         if any(rem for _, rem in row):
             raise InternalError("a dual lattice vector does not give an integral row")
@@ -352,7 +371,7 @@ class LatticeBasis:
     def standard(cls, dim: int) -> "LatticeBasis":
         return cls(dim, identity(dim), 1)
 
-    @property
+    @cached_property
     def rows(self) -> tuple[RatVec, ...]:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
@@ -378,8 +397,7 @@ def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
     for g in fracs:
         if len(g) != dim:
             raise NotFullRank(f"generator of length {len(g)} in dimension {dim}")
-    dens = [f.denominator for g in fracs for f in g]
-    d = math.lcm(*dens) if dens else 1
+    d = math.lcm(*[f.denominator for g in fracs for f in g])
     rows = [tuple(int(f * d) for f in g) for g in fracs]
     rows += [tuple(d * x for x in e) for e in identity(dim)]
     basis = _nonzero_hnf(rows)

@@ -2,9 +2,10 @@
 fraction-free kernel in ``toricmld.linalg`` is checked against.
 
 These are the package's earlier ``rank``, ``det``, ``solve_rational``,
-``express_in_basis`` (through ``coords_in_basis``) and the double
-description that starts from an identity lineality space, kept so the
-tests can compare the integer paths with them.  Nothing in ``src/``
+``express_in_basis`` (through ``coords_in_basis``), the double
+description that starts from an identity lineality space and the
+rank-per-generator extremality test, kept so the tests can compare the
+integer paths with them.  Nothing in ``src/``
 imports this module, and its checks raise rather than assert, so they
 hold under ``python -O`` too.
 """
@@ -178,3 +179,11 @@ def double_description(n: int, ineqs: Sequence[IntVec]):
                 merged.append((r, z))
         rays = merged
     return [r for r, _ in rays], lineality
+
+
+def extremal_by_rank(n: int, prims: Sequence[IntVec], facets: Sequence[IntVec]) -> tuple:
+    """The generators of a strongly convex full-dimensional cone whose
+    tight facets have rank n - 1, one rank per generator: the incidence
+    test ``make_cone`` used before it read the double description's
+    tight-row bitmasks."""
+    return tuple(p for p in prims if rank([f for f in facets if dot(f, p) == 0]) == n - 1)

@@ -14,7 +14,7 @@ import toricmld as t
 from toricmld import cli, invariants
 from toricmld.cli import main
 from toricmld.errors import ParseError, ValidationError
-from toricmld.germio import germ_doc, parse_germ
+from toricmld.germio import coord_out, format_q, germ_doc, parse_germ
 
 
 def run(*argv):
@@ -69,6 +69,20 @@ def test_germ_doc_roundtrip():
         doc = germ_doc(germ)
         again = parse_germ(json.dumps(doc))
         assert again == germ
+
+
+def test_output_edge_keeps_ints_and_builds_lattice_rows_once():
+    from fractions import Fraction as F
+
+    # ints pass through as they are; everything else as Fraction(x) prints it
+    for x in (0, 7, -3, 10**30, True, F(6, 3), F(-1, 2), "4/6"):
+        assert format_q(x) == str(F(x))
+        f = F(x)
+        expected = int(f) if f.denominator == 1 else str(f)
+        assert coord_out(x) == expected and type(coord_out(x)) is type(expected)
+    lattice = t.family("ex4", 3).lattice
+    assert lattice.rows is lattice.rows
+    assert lattice.rows == tuple(tuple(F(x, lattice.den) for x in row) for row in lattice.num)
 
 
 def test_cli_mld_matches_fixture(germ_file):

@@ -5,9 +5,10 @@ import pytest
 
 import toricmld as t
 from toricmld.cones import in_relint
-from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex, ZeroVector
-from toricmld.linalg import INCONSISTENT, UNDERDETERMINED, dot, rank, solve_rational, transpose
+from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
+from toricmld.linalg import INCONSISTENT, UNDERDETERMINED, dot, primitive, rank, solve_rational, transpose
 
+from elim_reference import extremal_by_rank
 from lp_reference import extremal_generators, in_cone
 from lp_reference import in_relint as lp_in_relint
 
@@ -213,6 +214,43 @@ def test_make_cone_extremal_rays_agree_with_lp():
             assert cone.rays == extremal_generators(gens)
             checked["full" if cone.dim == n else "lower"] += 1
     assert checked["full"] >= 20 and checked["lower"] >= 20
+
+
+def test_bitmask_extremality_matches_the_rank_and_lp_references():
+    # make_cone keeps a generator iff no other generator is tight on all of
+    # its facets; the rank of its tight facets and an LP per generator agree
+    rng = random.Random(43)
+    dropped = 0
+    for n in (1, 2, 3, 4, 5):
+        tries = 0
+        while tries < 30:
+            gens = _random_generators(rng, n)
+            if n == 1 and rng.randint(0, 1):
+                gens = [(rng.randint(1, 3),) for _ in range(rng.randint(1, 3))]
+            try:
+                cone = t.make_cone(n, gens)
+            except (NotStronglyConvex, EmptyInput, ZeroVector):
+                continue
+            if cone.dim < n:
+                continue
+            tries += 1
+            prims = sorted({primitive(g) for g in gens})
+            assert cone.rays == extremal_by_rank(n, prims, cone.facets) == extremal_generators(gens)
+            dropped += len(prims) > len(cone.rays)
+            dual = t.dual_cone(cone)
+            assert dual.rays == extremal_by_rank(n, sorted(set(cone.facets)), dual.facets)
+            assert dual.rays == cone.facets
+    assert dropped >= 40
+
+
+def test_points_of_the_wrong_length_are_rejected():
+    lower = t.make_cone(3, [(1, 0, 0), (0, 1, 0)])
+    for cone in (FOURRAY, lower):
+        for v in ((1, 1), (1, 1, 0, 0), (Fraction(1, 2),) * 4):
+            with pytest.raises(ValidationError):
+                t.membership(cone, v)
+            with pytest.raises(ValidationError):
+                t.minimal_face_containing(cone, v)
 
 
 def test_in_relint_agrees_with_lp_on_subsets():

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 import elim_reference as ref
 from toricmld import cones
-from toricmld.errors import ValidationError
+from toricmld.errors import InternalError, ValidationError
 from toricmld.linalg import (
     INCONSISTENT,
     UNDERDETERMINED,
     LatticeBasis,
     det,
+    dot,
+    dual_basis,
     echelon_coords,
     express_in_basis,
     independent_rows,
@@ -64,6 +66,51 @@ def test_det_matches_the_reference(n, data):
     a = _matrix(data.draw, n, n)
     assert det(a) == ref.det(a)
     assert isinstance(det(a), Fraction)
+
+
+def _check_dual_basis(a):
+    """dual_basis(a) against the reference solve, column by column; returns
+    the sign of det a, or 0 after checking that a singular a raises."""
+    d = ref.det(a)
+    if d == 0:
+        with pytest.raises(InternalError):
+            dual_basis(a)
+        return 0
+    big_d, w = dual_basis(a)
+    assert big_d == abs(d)
+    assert len(w) == len(a)
+    for i, wi in enumerate(w):
+        x = ref.solve_rational(a, [int(k == i) for k in range(len(a))])
+        assert all(type(y) is int for y in wi)
+        assert wi == tuple(big_d * y for y in x)
+    return 1 if d > 0 else -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_dual_basis_matches_the_reference_solve(n, data):
+    a = [tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(n)]
+    if n >= 2 and data.draw(st.booleans()):
+        a[0], a[1] = a[1], a[0]  # the other sign of the determinant
+    if n >= 3 and data.draw(st.booleans()):
+        a[-1] = tuple(x - y for x, y in zip(a[0], a[1]))  # singular
+    _check_dual_basis(a)
+
+
+def test_dual_basis_signs_sizes_and_singular_inputs():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(700):
+        n = rng.randint(0, 6)
+        a = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        seen.add((n, _check_dual_basis(a)))
+    assert {(n, s) for n in range(1, 7) for s in (1, -1)} <= seen
+    assert {(n, 0) for n in range(1, 5)} <= seen
+    assert dual_basis([]) == (1, ())
+    assert dual_basis([(0, 1), (1, 0)]) == (1, ((0, 1), (1, 0)))
+    assert dual_basis([(2, 0), (0, -3)]) == (6, ((3, 0), (0, -2)))
+    with pytest.raises(InternalError):
+        dual_basis([(1, 2), (2, 4)])
 
 
 def test_solve_outcomes_and_edge_cases():
@@ -192,8 +239,12 @@ def test_double_description_matches_the_lineality_reference():
             gens = _full_rank_generators(rng, n)
             expected, lineality = ref.double_description(n, gens)
             assert lineality == []
-            got = cones._double_description(gens, independent_rows(gens))
+            pairs = cones._double_description(gens, independent_rows(gens))
+            got = [r for r, _ in pairs]
             assert len(got) == len(set(got))
+            # each bitmask is exactly the set of rows its ray is tight on
+            for r, z in pairs:
+                assert z == sum(1 << i for i, g in enumerate(gens) if dot(g, r) == 0)
             assert sorted(got) == sorted(expected), gens
             pointed += ref.rank(expected) == n
     assert 0 < pointed < 200  # both strongly convex cones and cones with a line

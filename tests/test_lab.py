@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,20 @@ def test_sample_random_determinism():
     assert a == b
     c = t.sample_random(3, 4, 3, seed=7)
     assert c.dim == 3
+
+
+def test_boundary_coin_reads_the_bit_random_compares():
+    # the sampler's integer coin is random() < 0.5 on the same two 32-bit
+    # words, so every seed keeps its germ and the streams stay aligned
+    heads = 0
+    for seed in range(3000):
+        ints, floats = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            coin = not (ints.getrandbits(64) >> 31) & 1
+            assert coin == (floats.random() < 0.5)
+            heads += coin
+        assert ints.getrandbits(32) == floats.getrandbits(32)
+    assert 25_000 < heads < 35_000
 
 
 def test_sample_random_tiny_bound_orders():

@@ -1,6 +1,7 @@
 """Source rules for the package: internal checks are not ``assert``s,
-which ``python -O`` strips, and the package imports only the standard
-library and itself."""
+which ``python -O`` strips, the package imports only the standard
+library and itself, and its arithmetic is exact: no float literal and no
+use of the name ``float``, ``oracle.py`` included."""
 
 import ast
 import sys
@@ -36,6 +37,44 @@ def test_package_has_no_asserts_and_only_stdlib_imports():
     assert len(modules) >= 10
     found = [v for path in modules for v in _violations(path)]
     assert found == []
+
+
+def _floats(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append(f"{path.name}:{node.lineno}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            out.append(f"{path.name}:{node.lineno}: float")
+    return out
+
+
+def test_package_has_no_floats():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "oracle.py" in {path.name for path in modules}
+    found = [v for path in modules for v in _floats(path)]
+    assert found == []
+
+
+def test_float_rule_catches_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        '"""Docstrings may say float."""\n'
+        "half = 0.5\n"
+        "coin = rng.random() < 0.5\n"
+        "x = float(y) + 1e3 + 2j\n"
+        "ok = Fraction(1, 2) + 10 ** 3 + self.float\n"
+        "def f(v: float): return v\n"
+    )
+    assert sorted(_floats(path)) == [
+        "sample.py:2: float literal 0.5",
+        "sample.py:3: float literal 0.5",
+        "sample.py:4: float",
+        "sample.py:4: float literal 1000.0",
+        "sample.py:4: float literal 2j",
+        "sample.py:6: float",
+    ]
 
 
 def _private(name: str) -> bool:
