@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -41,7 +40,6 @@ from .linalg import (
     LatticeBasis,
     dot,
     express_in_basis,
-    lattice_from_generators,
     snf,
     vec_gcd,
 )
@@ -83,12 +81,15 @@ class ToricGerm:
 
     @cached_property
     def orbifold(self) -> LatticeBasis:
-        """Lattice generated by N and the rescaled ray generators ray/n_ray."""
-        gens = list(self.lattice.rows)
-        for ray, b in zip(self.cone.rays, self.boundary):
-            m = multiplicity(b)
-            gens.append(tuple(Fraction(x, m) for x in ray))
-        return lattice_from_generators(self.dim, gens)
+        """Lattice generated by N and the rays/n_ray: the Hermite form of M N and
+        the M ray/n_ray with n_ray > 1, over M = lcm(N's denominator, n_ray)."""
+        ms = [multiplicity(b) for b in self.boundary]
+        big, den = math.lcm(self.lattice.den, *ms), self.lattice.den
+        rows = [[x * (big // den) for x in row] for row in self.lattice.num]
+        rows += [[x * (big // m) for x in ray] for ray, m in zip(self.cone.rays, ms) if m > 1]
+        basis = linalg.hnf(rows)[: self.dim]
+        g = math.gcd(big, *(x for row in basis for x in row))
+        return LatticeBasis(self.dim, tuple(tuple(x // g for x in row) for row in basis), big // g)
 
 
 def make_germ(
@@ -122,16 +123,11 @@ def make_germ(
 
 
 def multiplicity(coeff) -> int:
-    """Largest n with 1 - 1/n <= coeff, for coeff in [0, 1)."""
+    """Largest n with 1 - 1/n <= coeff = p/q in [0, 1), that is q // (q - p)."""
     c = Fraction(coeff)
     if not (0 <= c < 1):
         raise CoefficientOutOfRange(f"coefficient {c} outside [0, 1)")
-    return math.floor(1 / (1 - c))
-
-
-def orbifold_lattice(germ: ToricGerm) -> LatticeBasis:
-    """Lattice generated by N and the rescaled ray generators ray/n_ray."""
-    return germ.orbifold
+    return c.denominator // (c.denominator - c.numerator)
 
 
 @dataclass(frozen=True)
@@ -210,49 +206,55 @@ def _cells(cone: Cone) -> list[tuple[int, ...]]:
 
 
 def _box_points(rb: Rebased):
-    """The least lattice point of each coset in each half-open cell, as
-    (point, L numerator, cell rays, their L numerators).
+    """The box points of each half-open cell, one per coset of its rays V,
+    as (V, their L numerators, d, cols, values): the k-th is the point
+    sum_i cols[i][k] V_i / d (``_box_point``), of L numerator values[k].
 
     A point u belongs to the cell whose interior holds u - t*y for small
     t > 0, with y the ray sum perturbed lexicographically along the
     coordinates, so a cell facet with inward normal w is closed iff the
     first nonzero entry of (w . y, w_1, ..., w_n) is negative; the cone's
-    own facets are open.  For cell rays V and d = |det V|, the cosets are
-    the u with 0 <= u_j < H_jj, H = hnf(V), and d times u's coordinates in
-    V is u . (d V^-1) mod d, where a 0 becomes d if its facet is open.
+    own facets are open.  For d = |det V|, the cosets are the u with
+    0 <= u_j < H_jj, H = hnf(V), and d times u's coordinates in V is
+    u . (d V^-1) mod d, where a 0 becomes d if its facet is open: one list
+    pass per H_jj > 1 builds a column, and one per column folds the values.
     """
-    cone, l_num, n = rb.cone, rb.l_num, rb.cone.n
+    cone, l_num = rb.cone, rb.l_num
     y = tuple(map(sum, zip(*cone.rays)))
     for cell in _cells(cone):
         v = [cone.rays[i] for i in cell]
         ells = [dot(l_num, r) for r in v]
-        h = linalg.hnf(v)
+        diag = [(j, row[j]) for j, row in enumerate(linalg.hnf(v)) if row[j] > 1]
         # w[i] is d times the dual vector of v[i], the inward normal of the facet opposite v[i]
         d, w = linalg.dual_basis(v)
-        closed = [next(x for x in (dot(wi, y), *wi) if x) < 0 for wi in w]
-        mus = [(0,) * n]
-        for j in range(n):
-            step = [wi[j] for wi in w]
-            mus = [tuple(m + t * s for m, s in zip(mu, step)) for mu in mus for t in range(h[j][j])]
-        for mu in mus:
-            c = [x % d or (0 if cl else d) for x, cl in zip(mu, closed)]
-            yield tuple(dot(c, col) // d for col in zip(*v)), dot(c, ells) // d, v, ells
+        cols, values = [], [0] * d
+        for wi, ell in zip(w, ells):
+            col = [0]
+            for j, hj in diag:
+                steps = [t * wi[j] for t in range(hj)]
+                col = [x + s for x in col for s in steps]
+            closed = next(x for x in (dot(wi, y), *wi) if x) < 0
+            col = [x % d for x in col] if closed else [x % d or d for x in col]
+            values = [a + c * ell for a, c in zip(values, col)]
+            cols.append(col)
+        yield v, ells, d, cols, [a // d for a in values]
 
 
-def _interior_points_upto(boxes, b_num: int):
-    """Interior lattice points u of the cone with 0 < L(u) <= b_num / den,
-    paired with the numerator of L(u), in rebased coordinates: each least
-    point of ``boxes`` (``_box_points``) plus the nonnegative combinations
-    of its cell's rays that stay within the bound."""
+def _box_point(v, d: int, cols, k: int) -> tuple[int, ...]:
+    """The k-th box point of a cell of ``_box_points``, in rebased coordinates."""
+    c = [col[k] for col in cols]
+    return tuple(dot(c, coord) // d for coord in zip(*v))
+
+
+def _lifted_values(cells, b_num: int) -> list[int]:
+    """The numerators L(u) <= b_num of the interior lattice points u, one
+    per point: each box point value of ``cells`` (``_box_points``) plus the
+    nonnegative combinations of its cell's ray values, one ray at a time."""
     result = []
-    # rays are added in nonincreasing index order, so each combination comes once
-    stack = [(p, val, len(rays), rays, ells) for p, val, rays, ells in boxes if val <= b_num]
-    while stack:
-        p, val, top, rays, ells = stack.pop()
-        result.append((p, val))
-        for i in range(top):
-            if val + ells[i] <= b_num:
-                stack.append((tuple(map(operator.add, p, rays[i])), val + ells[i], i + 1, rays, ells))
+    for _, ells, _, _, values in cells:
+        for ell in ells:
+            values = [x + j * ell for x in values for j in range((b_num - x) // ell + 1)]
+        result += values
     return result
 
 
@@ -296,14 +298,14 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
     rb = germ.rebased
     b = Fraction(rb.ray_sum_value(), rb.den) if bound is None else Fraction(bound)
     b_num = math.floor(b * rb.den)
-    pts = [(p, v) for p, v, _, _ in _box_points(rb)]
-    value = min(v for _, v in pts)
+    cells = list(_box_points(rb))
+    value = min(min(values) for *_, values in cells)
     if value > b_num:
         raise BoundBelowMinimum(
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
-    minimizers = sorted(germ.lattice.to_ambient(p) for p, v in pts if v == value)
-    return MldResult(Fraction(value, rb.den), tuple(minimizers), b)
+    pts = [_box_point(v, d, cols, k) for v, _, d, cols, xs in cells for k, x in enumerate(xs) if x == value]
+    return MldResult(Fraction(value, rb.den), tuple(sorted(map(germ.lattice.to_ambient, pts))), b)
 
 
 def count_window(germ: ToricGerm, low, high) -> WindowCount:
@@ -314,10 +316,17 @@ def count_window(germ: ToricGerm, low, high) -> WindowCount:
     rb = germ.rebased
     # integer numerators v with lo <= v / den < hi
     lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
-    pts = _interior_points_upto(_box_points(rb), hi_num - 1)
-    kept = sorted(
-        (germ.lattice.to_ambient(p), Fraction(v, rb.den)) for p, v in pts if v >= lo_num
-    )
+    kept = []
+    for v, ells, d, cols, values in _box_points(rb):
+        # box points below hi, then plus nonnegative combinations of the cell's rays
+        pts = [(x, _box_point(v, d, cols, k)) for k, x in enumerate(values) if x < hi_num]
+        for ell, ray in zip(ells, v):
+            pts = [
+                (x + j * ell, tuple(a + j * r for a, r in zip(p, ray)))
+                for x, p in pts for j in range((hi_num - 1 - x) // ell + 1)
+            ]
+        kept += [(germ.lattice.to_ambient(p), Fraction(x, rb.den)) for x, p in pts if x >= lo_num]
+    kept.sort()
     return WindowCount(lo, hi, tuple(kept), len(kept))
 
 
@@ -330,11 +339,11 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     one lift of them up to mld + max(deltas) gives every count.
     """
     rb = germ.rebased
-    boxes = list(_box_points(rb))
-    m = min(v for _, v, _, _ in boxes)
+    cells = list(_box_points(rb))
+    m = min(min(values) for *_, values in cells)
     # the largest numerator inside [m, m + delta)
     tops = [m + math.ceil(Fraction(d) * rb.den) - 1 for d in deltas]
-    values = sorted(v for _, v in _interior_points_upto(boxes, max(tops))) if tops else []
+    values = sorted(_lifted_values(cells, max(tops))) if tops else []
     return Fraction(m, rb.den), tuple(bisect.bisect_right(values, top) for top in tops)
 
 

@@ -41,6 +41,7 @@ from .errors import (
     NotInteriorPoint,
     TooManyRays,
 )
+from .germio import format_q
 from .invariants import ToricGerm, pi1_reg
 from .linalg import det, dot, express_in_basis, rank, solve_rational, transpose
 
@@ -122,7 +123,7 @@ def subcones_containing(c: Cone, m: Sequence[int]) -> list[Cone]:
     so the cost is exponential in the ray count: the cone over (i, i^2, 1),
     0 <= i < 16, has 60,158 around its ray sum."""
     if membership(c, m) is not Membership.RELATIVE_INTERIOR:
-        raise NotInteriorPoint(f"{tuple(m)} is not in the relative interior")
+        raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not in the relative interior")
     return [
         make_cone(c.n, [c.rays[i] for i in idx])
         for idx in _subcone_index_sets(c, m)
@@ -155,7 +156,7 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
     if c.dim < c.n:
         raise NotFullDimensional("trichotomy needs a full-dimensional cone")
     if membership(c, m) is not Membership.RELATIVE_INTERIOR:
-        raise NotInteriorPoint(f"{tuple(m)} is not an interior point")
+        raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not an interior point")
     if is_simplicial(c):
         return Simplicial()
     first = None
@@ -264,7 +265,7 @@ def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
     rb = germ.rebased
     m_c = express_in_basis(germ.lattice, m)
     if m_c is None or membership(rb.cone, m_c) is not Membership.RELATIVE_INTERIOR:
-        raise NotInteriorPoint(f"{tuple(m)} is not an interior lattice point")
+        raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not an interior lattice point")
     k0, vecs_c, grids = _decompose_rec(rb.cone, m_c)
     amb_of = {r: germ.lattice.to_ambient(r) for r in rb.cone.rays}
     col = {amb: j for j, amb in enumerate(germ.cone.rays)}

@@ -1,0 +1,78 @@
+"""Tuple-based box points and the ``Fraction`` orbifold lattice: the
+references the package's column-wise box points and integer orbifold
+lattice in ``toricmld.invariants`` are checked against.
+
+``_box_points`` and ``_interior_points_upto`` are the package's earlier
+enumerator, kept unchanged: it builds one tuple per coset of each cell
+and one point tuple per box point, and lifts each box point by a
+depth-first walk over the cell's rays.  ``orbifold`` is the earlier
+``ToricGerm.orbifold``: it builds the ``Fraction`` generators ray/n_ray,
+with n_ray = floor(1 / (1 - coeff)), and hands them, with N's rows, to
+``lattice_from_generators``.  Nothing in ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from fractions import Fraction
+
+from toricmld import linalg
+from toricmld.invariants import Rebased, ToricGerm, _cells
+from toricmld.linalg import LatticeBasis, dot, lattice_from_generators
+
+
+def _box_points(rb: Rebased):
+    """The least lattice point of each coset in each half-open cell, as
+    (point, L numerator, cell rays, their L numerators).
+
+    A point u belongs to the cell whose interior holds u - t*y for small
+    t > 0, with y the ray sum perturbed lexicographically along the
+    coordinates, so a cell facet with inward normal w is closed iff the
+    first nonzero entry of (w . y, w_1, ..., w_n) is negative; the cone's
+    own facets are open.  For cell rays V and d = |det V|, the cosets are
+    the u with 0 <= u_j < H_jj, H = hnf(V), and d times u's coordinates in
+    V is u . (d V^-1) mod d, where a 0 becomes d if its facet is open.
+    """
+    cone, l_num, n = rb.cone, rb.l_num, rb.cone.n
+    y = tuple(map(sum, zip(*cone.rays)))
+    for cell in _cells(cone):
+        v = [cone.rays[i] for i in cell]
+        ells = [dot(l_num, r) for r in v]
+        h = linalg.hnf(v)
+        # w[i] is d times the dual vector of v[i], the inward normal of the facet opposite v[i]
+        d, w = linalg.dual_basis(v)
+        closed = [next(x for x in (dot(wi, y), *wi) if x) < 0 for wi in w]
+        mus = [(0,) * n]
+        for j in range(n):
+            step = [wi[j] for wi in w]
+            mus = [tuple(m + t * s for m, s in zip(mu, step)) for mu in mus for t in range(h[j][j])]
+        for mu in mus:
+            c = [x % d or (0 if cl else d) for x, cl in zip(mu, closed)]
+            yield tuple(dot(c, col) // d for col in zip(*v)), dot(c, ells) // d, v, ells
+
+
+def _interior_points_upto(boxes, b_num: int):
+    """Interior lattice points u of the cone with 0 < L(u) <= b_num / den,
+    paired with the numerator of L(u), in rebased coordinates: each least
+    point of ``boxes`` (``_box_points``) plus the nonnegative combinations
+    of its cell's rays that stay within the bound."""
+    result = []
+    # rays are added in nonincreasing index order, so each combination comes once
+    stack = [(p, val, len(rays), rays, ells) for p, val, rays, ells in boxes if val <= b_num]
+    while stack:
+        p, val, top, rays, ells = stack.pop()
+        result.append((p, val))
+        for i in range(top):
+            if val + ells[i] <= b_num:
+                stack.append((tuple(map(operator.add, p, rays[i])), val + ells[i], i + 1, rays, ells))
+    return result
+
+
+def orbifold(germ: ToricGerm) -> LatticeBasis:
+    """Lattice generated by N and the rescaled ray generators ray/n_ray."""
+    gens = list(germ.lattice.rows)
+    for ray, b in zip(germ.cone.rays, germ.boundary):
+        m = math.floor(1 / (1 - Fraction(b)))
+        gens.append(tuple(Fraction(x, m) for x in ray))
+    return lattice_from_generators(germ.dim, gens)

@@ -1,9 +1,11 @@
 """The box-point enumerator in ``toricmld.invariants`` (half-open cells of
 a pulling triangulation), checked against the Fourier-Motzkin enumeration
-it replaced (``fm_reference``) and, on germs small enough to scan, against
-the brute-force oracle."""
+it replaced (``fm_reference``), against the tuple-based box points and
+``Fraction`` orbifold lattice it replaced (``box_reference``) and, on
+germs small enough to scan, against the brute-force oracle."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -11,12 +13,13 @@ from conftest import _box_volume
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import box_reference
 import fm_reference as ref
 import toricmld as t
-from toricmld import oracle
+from toricmld import invariants, oracle
 from toricmld.errors import BoundBelowMinimum, ToricError
 from toricmld.invariants import mld_window_counts
-from toricmld.linalg import rank
+from toricmld.linalg import hnf, rank
 
 COEFFS = (F(0), F(1, 2), F(2, 3), F(3, 4))
 ORACLE_CAP = 2_000  # points in the oracle's search box
@@ -32,8 +35,8 @@ def outcome(f, *args):
 
 
 @st.composite
-def germs(draw):
-    """Germs in dims 1-5 of three kinds: simplicial cones over independent
+def germs(draw, min_dim=1):
+    """Germs in dims min_dim-5 of three kinds: simplicial cones over independent
     vectors with a positive last coordinate and any boundary; cones at
     height one over vertices of a lattice 12-gon (dim 3, up to 11 rays) or
     of the unit cube (dims 4 and 5; at most 9 in dim 5, where the
@@ -41,7 +44,7 @@ def germs(draw):
     every ray keeps them Q-Cartier; and sampler germs.  Some live in the
     lattice Z^n + Z v/k, for a v that keeps every ray primitive."""
     kind = draw(st.sampled_from(("height one", "simplicial", "sampler")))
-    n = draw(st.integers({"height one": 3, "simplicial": 1, "sampler": 2}[kind], 5))
+    n = draw(st.integers(max(min_dim, {"height one": 3, "simplicial": 1, "sampler": 2}[kind]), 5))
     if kind == "sampler":
         try:
             germ = t.sample_random(n, n + 2, 2, draw(st.integers(0, 10**6)))
@@ -113,3 +116,97 @@ def test_box_points_match_the_fm_reference_and_the_oracle():
     check()
     kinds = ["non-simplicial", "9 or more rays", "boundary", "extended lattice", "below minimum", "oracle"]
     assert all(seen[kind] for kind in kinds + [f"dim {n}" for n in range(1, 6)]), seen
+
+
+def test_box_points_match_the_tuple_reference():
+    """Per cell, the column-wise box points and their values are the
+    tuple-based reference's, each coset once, and the values lifted ray
+    by ray are those of the reference's walk, with multiplicity."""
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(germs(min_dim=2), st.integers(0, 4))
+    def check(germ, halves):
+        rb = germ.rebased
+        cells = list(invariants._box_points(rb))
+        boxes = list(box_reference._box_points(rb))
+        expected = [
+            (rays, Counter((p, val) for p, val, _, _ in group))
+            for rays, group in itertools.groupby(boxes, key=lambda box: tuple(box[2]))
+        ]
+        got = [
+            (tuple(v), Counter((invariants._box_point(v, d, cols, k), x) for k, x in enumerate(values)))
+            for v, _, d, cols, values in cells
+        ]
+        assert got == expected
+        assert all(len(values) == d for _, _, d, _, values in cells)
+        b_num = min(min(values) for *_, values in cells) + halves * rb.den // 2
+        lifted = Counter(val for _, val in box_reference._interior_points_upto(boxes, b_num))
+        assert Counter(invariants._lifted_values(cells, b_num)) == lifted
+
+        seen[f"dim {germ.dim}"] += 1
+        seen["non-simplicial"] += len(germ.cone.rays) > germ.dim
+        seen["boundary with n_ray > 2"] += any(b > F(1, 2) for b in germ.boundary)
+        seen["extended lattice"] += not germ.lattice.is_standard
+        seen["non-cyclic cell group"] += any(
+            sum(row[j] > 1 for j, row in enumerate(hnf(v))) >= 2 for v, *_ in cells
+        )
+
+    check()
+    kinds = ["non-simplicial", "boundary with n_ray > 2", "extended lattice", "non-cyclic cell group"]
+    assert all(seen[kind] for kind in kinds + [f"dim {n}" for n in range(2, 6)]), seen
+
+
+def test_orbifold_matches_the_fraction_reference():
+    """The integer orbifold lattice is the ``Fraction`` builder's, as a
+    ``LatticeBasis``, and ``multiplicity`` is floor(1 / (1 - coeff))."""
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(germs(min_dim=2))
+    def check(germ):
+        assert germ.orbifold == box_reference.orbifold(germ)
+        seen[f"dim {germ.dim}"] += 1
+        seen["non-simplicial"] += len(germ.cone.rays) > germ.dim
+        seen["boundary with n_ray > 2"] += any(b > F(1, 2) for b in germ.boundary)
+        seen["extended lattice"] += not germ.lattice.is_standard
+        seen["orbifold above N"] += germ.orbifold != germ.lattice
+
+    check()
+    kinds = ["non-simplicial", "boundary with n_ray > 2", "extended lattice", "orbifold above N"]
+    assert all(seen[kind] for kind in kinds + [f"dim {n}" for n in range(2, 6)]), seen
+    for q in range(1, 40):
+        for p in range(q):
+            assert t.multiplicity(F(p, q)) == math.floor(1 / (1 - F(p, q)))
+
+
+def _count_built_points(monkeypatch) -> list:
+    """Record every box point tuple the package builds."""
+    built = []
+    real = invariants._box_point
+
+    def counting(v, d, cols, k):
+        built.append(k)
+        return real(v, d, cols, k)
+
+    monkeypatch.setattr(invariants, "_box_point", counting)
+    return built
+
+
+def test_mld_builds_a_point_for_each_minimizer_only(monkeypatch):
+    germ = t.family("ex1", 3000)
+    boxes = sum(len(values) for *_, values in invariants._box_points(germ.rebased))
+    built = _count_built_points(monkeypatch)
+    minimizers = t.mld(germ).minimizers
+    assert len(built) == len(minimizers) < boxes
+
+
+def test_narrow_window_builds_the_box_points_below_high_only(monkeypatch):
+    germ = t.family("ex2", 2000)
+    rb = germ.rebased
+    hi_num = math.ceil(F(1, 50) * rb.den)
+    values = [x for *_, vals in invariants._box_points(rb) for x in vals]
+    below = sum(x < hi_num for x in values)
+    built = _count_built_points(monkeypatch)
+    window = t.count_window(germ, F(1, 100), F(1, 50))
+    assert len(built) == below and 0 < window.count <= below < len(values) // 10

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import functools
 import json
 import os
 import re
@@ -304,10 +305,19 @@ def _spy(monkeypatch, fn, modules=None):
     ids=["extended-lattice", "boundary"],
 )
 def test_cli_blowup_solves_once(germ_file, monkeypatch, doc):
-    """One blowup command: one solve of L, one orbifold lattice (built in
-    invariants by lattice_from_generators; germio's calls parse the document)."""
+    """One blowup command: one solve of L, one orbifold lattice (built by
+    the cached ``ToricGerm.orbifold``)."""
     solves = _spy(monkeypatch, invariants.log_disc_functional)
-    builds = _spy(monkeypatch, invariants.lattice_from_generators, [invariants])
+    builds = []
+    build = invariants.ToricGerm.orbifold.func
+
+    def counting(germ):
+        builds.append(germ)
+        return build(germ)
+
+    orbifold = functools.cached_property(counting)
+    orbifold.__set_name__(invariants.ToricGerm, "orbifold")
+    monkeypatch.setattr(invariants.ToricGerm, "orbifold", orbifold)
     code, out, _ = run("blowup", germ_file(doc))
     assert code == 0 and int(json.loads(out)["pi1_order"]) > 1
     assert len(solves) == 1 and len(builds) == 1

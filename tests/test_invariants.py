@@ -50,13 +50,13 @@ def test_germ_validation():
 
 def test_orbifold_lattice_examples():
     g = germ2(5)
-    assert t.orbifold_lattice(g) == g.lattice  # empty boundary: N itself
+    assert g.orbifold == g.lattice  # empty boundary: N itself
     cone = t.make_cone(2, [(1, 0), (1, 2)])
     g = t.make_germ(cone, [F(1, 2), F(1, 2)])
-    ob = t.orbifold_lattice(g)
+    ob = g.orbifold
     assert ob.rows == ((F(1, 2), 0), (0, 1))
     g4 = t.family("ex4", 3)
-    assert t.orbifold_lattice(g4) == g4.lattice
+    assert g4.orbifold == g4.lattice
 
 
 def test_log_disc_functional_examples():
@@ -251,7 +251,7 @@ def test_derived_data_lives_on_the_germ_and_is_freed_with_it():
         m = t.mld(germ).minimizers[0]
         assert t.pi1_reg(germ).order == 2
         t.decompose(germ, m)
-        assert germ.rebased is germ.rebased and germ.orbifold is t.orbifold_lattice(germ)
+        assert germ.rebased is germ.rebased and germ.orbifold is germ.orbifold
         assert germ.rebased.ldf == t.log_disc_functional(germ)
         ref = weakref.ref(germ)
         del germ

@@ -210,17 +210,17 @@ def test_check_instances_matches_per_instance_path(monkeypatch):
     instances = [t.ConjectureInstance(g, eps, delta) for g in germs for eps, delta in grid]
 
     enumerations = []
-    real = invariants._interior_points_upto
+    real = invariants._lifted_values
 
-    def counting(boxes, b_num):
+    def counting(cells, b_num):
         enumerations.append(b_num)
-        return real(boxes, b_num)
+        return real(cells, b_num)
 
-    monkeypatch.setattr(invariants, "_interior_points_upto", counting)
+    monkeypatch.setattr(invariants, "_lifted_values", counting)
     fast = check_instances(instances)
     monkeypatch.undo()
 
-    # one enumeration per germ, up to mld + max(deltas); none for the degenerate germ
+    # one lift per germ, up to mld + max(deltas); none for the degenerate germ
     assert len(enumerations) == len(set(germs)) - 1
     assert fast == [_per_instance(inst) for inst in instances]
     assert check_instances(list(reversed(instances))) == fast[::-1]

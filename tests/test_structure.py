@@ -175,6 +175,16 @@ def test_trichotomy_errors():
         t.trichotomy(FOURRAY, (1, 0, 0))
 
 
+def test_interior_point_errors_print_rationals():
+    """The point in an interior-point error reads as p/q values, as the
+    CLI's other outputs do, whether its coordinates are ints or Fractions."""
+    point = (Fraction(1, 2), Fraction(0), 0)
+    germ = t.make_germ(FOURRAY)
+    for fn, arg in ((t.subcones_containing, FOURRAY), (t.trichotomy, FOURRAY), (t.decompose, germ)):
+        with pytest.raises(NotInteriorPoint, match=r"^\(1/2, 0, 0\) is not"):
+            fn(arg, point)
+
+
 def _check_decomposition(germ, m, d):
     n = germ.dim
     rays = germ.cone.rays
