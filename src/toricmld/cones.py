@@ -5,11 +5,12 @@ computed facet description (primitive inward normals).  The dual
 description is obtained by the double description method in integers:
 it starts from the simplicial cone of n independent generators and adds
 the others one inequality at a time.  Extremality is read off its
-tight-row bitmasks and membership off the facets.  Relative interiors
-of ray subsets take one linear solve, and the facets only when the rays
-are dependent.  Cones that do not span the ambient space are handled by
-rebasing to a basis of span intersect Z^n and recursing in lower
-dimension.
+tight-row bitmasks and membership off the facets.  Exactly n
+independent generators skip it: their dual basis is the whole dual
+description.  Relative interiors of ray subsets take one linear solve,
+and the facets only when the rays are dependent.  Cones that do not
+span the ambient space are handled by rebasing to a basis of span
+intersect Z^n and recursing in lower dimension.
 """
 
 from __future__ import annotations
@@ -134,12 +135,20 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
 
     Generators are normalised to primitive vectors, duplicates and
     non-extremal generators are dropped, and strong convexity is
-    verified.  Raises EmptyInput, ZeroVector or NotStronglyConvex.
+    verified.  n independent generators span a simplicial cone: they are
+    its rays, and the inward facet normals are their dual basis.  Raises
+    ValidationError (a generator not of length n), EmptyInput,
+    ZeroVector or NotStronglyConvex.
     """
+    for g in generators:
+        if len(g) != n:
+            raise ValidationError(f"a generator of length {len(g)} in dimension {n}")
     if not generators:
         raise EmptyInput("a cone needs at least one generator")
     prims = sorted({primitive(g) for g in generators})
     basis = linalg.independent_rows(prims)
+    if len(basis) == len(prims) == n:
+        return Cone(n, tuple(prims), tuple(sorted(map(primitive, linalg.dual_basis(prims)[1]))), n)
     if len(basis) < n:
         sat = linalg.saturation_basis(prims, n)
         coords = [linalg.echelon_coords(sat, p) for p in prims]

@@ -69,5 +69,9 @@ class BoundBelowMinimum(ToricError, ValueError):
     """An enumeration bound excludes every interior lattice point."""
 
 
+class InvalidWindow(ToricError, ValueError):
+    """A window [low, high) must satisfy 0 < low <= high."""
+
+
 class InternalError(ToricError):
     """An internal invariant failed; this indicates a bug, not bad input."""

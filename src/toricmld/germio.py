@@ -16,7 +16,7 @@ from .linalg import lattice_from_generators, primitive
 
 
 def format_q(x) -> str:
-    return str(x) if type(x) is int else str(Fraction(x))
+    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 
 def coord_out(x):

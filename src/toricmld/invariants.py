@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from . import cones, linalg
@@ -29,6 +30,7 @@ from .errors import (
     BoundBelowMinimum,
     CoefficientOutOfRange,
     InternalError,
+    InvalidWindow,
     NotFullDimensional,
     NotInteriorPoint,
     NotQCartier,
@@ -258,6 +260,19 @@ def _lifted_values(cells, b_num: int) -> list[int]:
     return result
 
 
+def _lift_columns(values, coords, ells, rays, top: int):
+    """The numerators L(u) <= top of the points u = p + sum_i j_i rays[i],
+    j_i >= 0, over points p held column by column (``coords``, one list
+    per coordinate) with numerators ``values``, and u's columns; one ray
+    at a time, so each u comes once.  ``_lifted_values`` lifts values
+    alone in one pass per ray, which this two-pass form would slow."""
+    for ell, ray in zip(ells, rays):
+        reps = [(top - x) // ell + 1 for x in values]
+        values = [x + j * ell for x, m in zip(values, reps) for j in range(m)]
+        coords = [[a + j * r for a, m in zip(col, reps) for j in range(m)] for col, r in zip(coords, ray)]
+    return values, coords
+
+
 # ---------------------------------------------------------------------------
 # the invariants
 
@@ -309,25 +324,43 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
 
 
 def count_window(germ: ToricGerm, low, high) -> WindowCount:
-    """All interior lattice points with log discrepancy in [low, high)."""
+    """All interior lattice points with log discrepancy in [low, high).
+
+    Each cell's box points below high are lifted column by column: one
+    list per coordinate of den_N times the ambient point (``_lift_columns``),
+    den_N being N's denominator, which orders the points as the ambient
+    coordinates do.  Only the points kept become tuples, and only the
+    returned ones hold Fractions.
+    """
     lo, hi = Fraction(low), Fraction(high)
     if not (0 < lo <= hi):
-        raise ValueError("window must satisfy 0 < low <= high")
-    rb = germ.rebased
+        raise InvalidWindow("window must satisfy 0 < low <= high")
+    rb, lat = germ.rebased, germ.lattice
     # integer numerators v with lo <= v / den < hi
     lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
-    kept = []
+    num_cols = None if lat.is_standard else linalg.transpose(lat.num)
+    keys = []
     for v, ells, d, cols, values in _box_points(rb):
-        # box points below hi, then plus nonnegative combinations of the cell's rays
-        pts = [(x, _box_point(v, d, cols, k)) for k, x in enumerate(values) if x < hi_num]
-        for ell, ray in zip(ells, v):
-            pts = [
-                (x + j * ell, tuple(a + j * r for a, r in zip(p, ray)))
-                for x, p in pts for j in range((hi_num - 1 - x) // ell + 1)
-            ]
-        kept += [(germ.lattice.to_ambient(p), Fraction(x, rb.den)) for x, p in pts if x >= lo_num]
-    kept.sort()
-    return WindowCount(lo, hi, tuple(kept), len(kept))
+        below = [k for k, x in enumerate(values) if x < hi_num]
+        rays = v if num_cols is None else [linalg.mat_vec(num_cols, r) for r in v]
+        # the box points below hi, d times den_N times their ambient coordinates
+        coords = [[0] * len(below) for _ in range(germ.dim)]
+        for col, ray in zip(cols, rays):
+            picked = [col[k] for k in below]
+            coords = [[a + c * r for a, c in zip(acc, picked)] if r else acc for acc, r in zip(coords, ray)]
+        xs, coords = _lift_columns(
+            [values[k] for k in below], [[a // d for a in acc] for acc in coords], ells, rays, hi_num - 1
+        )
+        keep = [x >= lo_num for x in xs]
+        keys += zip(*[compress(acc, keep) for acc in coords], compress(xs, keep))
+    keys.sort()
+    den = lat.den
+    points = tuple(
+        (tuple(a // den if a % den == 0 else Fraction(a, den) for a in key[:-1]) if den > 1 else key[:-1],
+         Fraction(key[-1], rb.den))
+        for key in keys
+    )
+    return WindowCount(lo, hi, points, len(points))
 
 
 def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tuple[int, ...]]:

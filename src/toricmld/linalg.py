@@ -375,13 +375,15 @@ class LatticeBasis:
     def rows(self) -> tuple[RatVec, ...]:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
-    @property
+    @cached_property
     def is_standard(self) -> bool:
         return self.den == 1 and self.num == identity(self.dim)
 
     def to_ambient(self, c: Sequence[int]) -> tuple:
         """The point with integer coordinates c in this basis, in Q^dim,
         with ints where the coordinates are integral."""
+        if self.is_standard:
+            return tuple(c)
         den = self.den
         xs = (dot(c, col) for col in zip(*self.num))
         return tuple(x // den if x % den == 0 else Fraction(x, den) for x in xs)
@@ -410,9 +412,12 @@ def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
 
 def express_in_basis(basis: LatticeBasis, v: Sequence):
     """Integer coordinates of v in the lattice basis, or None if v is not
-    a lattice point.  A v of the wrong length raises ValidationError."""
+    a lattice point; in the standard basis they are v's entries, as ints.
+    A v of the wrong length raises ValidationError."""
     if len(v) != basis.dim:
         raise ValidationError(f"a point of length {len(v)} in dimension {basis.dim}")
+    if basis.is_standard:
+        return None if any(x.denominator != 1 for x in v) else tuple(x.numerator for x in v)
     scaled = [basis.den * x for x in v]
     if any(x.denominator != 1 for x in scaled):
         return None

@@ -1,6 +1,7 @@
-"""Tuple-based box points and the ``Fraction`` orbifold lattice: the
-references the package's column-wise box points and integer orbifold
-lattice in ``toricmld.invariants`` are checked against.
+"""Tuple-based box points, a tuple-per-point window lift and the
+``Fraction`` orbifold lattice: the references the package's column-wise
+box points and window lift and its integer orbifold lattice in
+``toricmld.invariants`` are checked against.
 
 ``_box_points`` and ``_interior_points_upto`` are the package's earlier
 enumerator, kept unchanged: it builds one tuple per coset of each cell
@@ -8,7 +9,11 @@ and one point tuple per box point, and lifts each box point by a
 depth-first walk over the cell's rays.  ``orbifold`` is the earlier
 ``ToricGerm.orbifold``: it builds the ``Fraction`` generators ray/n_ray,
 with n_ray = floor(1 / (1 - coeff)), and hands them, with N's rows, to
-``lattice_from_generators``.  Nothing in ``src/`` imports this module.
+``lattice_from_generators``.  ``count_window`` is the earlier window
+lift over the column-wise box points: it builds one point tuple per box
+point below ``high`` and per lifted point, converts each to ambient
+coordinates and sorts the (point, ``Fraction`` value) pairs.  Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import math
 import operator
 from fractions import Fraction
 
-from toricmld import linalg
-from toricmld.invariants import Rebased, ToricGerm, _cells
+from toricmld import invariants, linalg
+from toricmld.invariants import Rebased, ToricGerm, WindowCount, _cells
 from toricmld.linalg import LatticeBasis, dot, lattice_from_generators
 
 
@@ -76,3 +81,25 @@ def orbifold(germ: ToricGerm) -> LatticeBasis:
         m = math.floor(1 / (1 - Fraction(b)))
         gens.append(tuple(Fraction(x, m) for x in ray))
     return lattice_from_generators(germ.dim, gens)
+
+
+def count_window(germ: ToricGerm, low, high) -> WindowCount:
+    """All interior lattice points with log discrepancy in [low, high)."""
+    lo, hi = Fraction(low), Fraction(high)
+    if not (0 < lo <= hi):
+        raise ValueError("window must satisfy 0 < low <= high")
+    rb = germ.rebased
+    # integer numerators v with lo <= v / den < hi
+    lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
+    kept = []
+    for v, ells, d, cols, values in invariants._box_points(rb):
+        # box points below hi, then plus nonnegative combinations of the cell's rays
+        pts = [(x, invariants._box_point(v, d, cols, k)) for k, x in enumerate(values) if x < hi_num]
+        for ell, ray in zip(ells, v):
+            pts = [
+                (x + j * ell, tuple(a + j * r for a, r in zip(p, ray)))
+                for x, p in pts for j in range((hi_num - 1 - x) // ell + 1)
+            ]
+        kept += [(germ.lattice.to_ambient(p), Fraction(x, rb.den)) for x, p in pts if x >= lo_num]
+    kept.sort()
+    return WindowCount(lo, hi, tuple(kept), len(kept))

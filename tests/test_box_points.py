@@ -1,8 +1,9 @@
 """The box-point enumerator in ``toricmld.invariants`` (half-open cells of
 a pulling triangulation), checked against the Fourier-Motzkin enumeration
-it replaced (``fm_reference``), against the tuple-based box points and
-``Fraction`` orbifold lattice it replaced (``box_reference``) and, on
-germs small enough to scan, against the brute-force oracle."""
+it replaced (``fm_reference``), against the tuple-based box points,
+window lift and ``Fraction`` orbifold lattice it replaced
+(``box_reference``) and, on germs small enough to scan, against the
+brute-force oracle."""
 
 import itertools
 import math
@@ -201,12 +202,69 @@ def test_mld_builds_a_point_for_each_minimizer_only(monkeypatch):
     assert len(built) == len(minimizers) < boxes
 
 
-def test_narrow_window_builds_the_box_points_below_high_only(monkeypatch):
+def test_count_window_matches_the_tuple_reference():
+    """The column-wise window lift, with its integer sort keys, returns the
+    tuple-per-point reference's points and values, in the same order."""
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(germs(), st.integers(-2, 4), st.integers(0, 6))
+    def check(germ, low_steps, width):
+        m = t.mld(germ).value
+        low = max(F(1, 4), m + F(low_steps, 4))
+        high = low + F(width, 4)
+        window = t.count_window(germ, low, high)
+        assert window == box_reference.count_window(germ, low, high)
+
+        seen[f"dim {germ.dim}"] += 1
+        seen["extended lattice"] += not germ.lattice.is_standard
+        seen["Fraction coordinates"] += any(type(x) is F for p, _ in window.points for x in p)
+        seen["points below low"] += m < low and window.count > 0
+        seen["empty"] += window.count == 0
+        seen["10 or more points"] += window.count >= 10
+
+    check()
+    kinds = ["extended lattice", "Fraction coordinates", "points below low", "empty", "10 or more points"]
+    assert all(seen[kind] for kind in kinds + [f"dim {n}" for n in range(1, 6)]), seen
+
+
+def test_narrow_window_lifts_the_box_points_below_high_only(monkeypatch):
+    """``count_window`` lifts the box points below high only, and no point
+    past high; it builds no ``_box_point`` tuple, and key tuples and
+    Fractions for the returned points only, though it lifts points below
+    low too."""
     germ = t.family("ex2", 2000)
     rb = germ.rebased
-    hi_num = math.ceil(F(1, 50) * rb.den)
+    lo_num, hi_num = math.ceil(F(1, 100) * rb.den), math.ceil(F(1, 50) * rb.den)
     values = [x for *_, vals in invariants._box_points(rb) for x in vals]
     below = sum(x < hi_num for x in values)
-    built = _count_built_points(monkeypatch)
+    lifted, yielded, fractions = [], [], []
+    real_lift, real_compress = invariants._lift_columns, invariants.compress
+
+    def lift(values, coords, ells, rays, top):
+        out = real_lift(values, coords, ells, rays, top)
+        lifted.append((values, out[0]))
+        return out
+
+    def compress(data, selectors):
+        for x in real_compress(data, selectors):
+            yielded.append(x)
+            yield x
+
+    class CountingFraction(F):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return F(*args)
+
+    monkeypatch.setattr(invariants, "_lift_columns", lift)
+    monkeypatch.setattr(invariants, "compress", compress)
+    monkeypatch.setattr(invariants, "Fraction", CountingFraction)
+    monkeypatch.setattr(invariants, "_box_point", None)
     window = t.count_window(germ, F(1, 100), F(1, 50))
-    assert len(built) == below and 0 < window.count <= below < len(values) // 10
+    assert sum(len(box) for box, _ in lifted) == below
+    assert all(x < hi_num for box, out in lifted for x in box + out)
+    assert any(x < lo_num for _, out in lifted for x in out)
+    # one entry per coordinate and one value per returned point; low, high and the values
+    assert len(yielded) == (germ.dim + 1) * window.count
+    assert len(fractions) == 2 + window.count
+    assert 0 < window.count <= below < len(values) // 10

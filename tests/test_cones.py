@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import toricmld as t
+from toricmld import cones
 from toricmld.cones import in_relint
 from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
 from toricmld.linalg import INCONSISTENT, UNDERDETERMINED, dot, primitive, rank, solve_rational, transpose
@@ -28,6 +29,33 @@ def test_make_cone_examples():
 def test_make_cone_empty():
     with pytest.raises(EmptyInput):
         t.make_cone(2, [])
+
+
+def test_make_cone_rejects_generators_of_the_wrong_length():
+    # checked first, so a ragged or all-zero generator is not a ZeroVector
+    cases = [(3, [(1, 0), (0, 1)]), (2, [(1, 0), (0, 1), (1, 1, 1)]), (2, [(1, 0, 0), (0, 1, 0)]), (2, [(0, 0, 0)])]
+    for n, gens in cases:
+        with pytest.raises(ValidationError):
+            t.make_cone(n, gens)
+
+
+def test_simplicial_cones_run_no_double_description(monkeypatch):
+    calls = []
+    real = cones._double_description
+
+    def spy(ineqs, start):
+        calls.append(len(ineqs))
+        return real(ineqs, start)
+
+    monkeypatch.setattr(cones, "_double_description", spy)
+    # n independent generators, scaled duplicates, a lower-dimensional simplicial cone
+    for n, gens in [(1, [(2,)]), (3, [(1, 0, 0), (0, 1, 0), (1, 1, 5)]), (2, [(1, 2), (2, 4), (1, 0)]),
+                    (3, [(1, 0, 0), (0, 1, 0)])]:
+        t.make_cone(n, gens)
+    assert calls == []
+    t.make_cone(3, FOURRAY.rays)
+    t.make_cone(2, [(1, 0), (0, 1), (1, 1)])
+    assert calls == [4, 3]
 
 
 def test_make_cone_idempotent():

@@ -3,10 +3,11 @@ and the double description that starts from a simplicial cone, checked
 against the ``Fraction`` versions they replaced (``elim_reference``)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import elim_reference as ref
@@ -21,8 +22,10 @@ from toricmld.linalg import (
     dual_basis,
     echelon_coords,
     express_in_basis,
+    identity,
     independent_rows,
     lattice_from_generators,
+    primitive,
     rank,
     saturation_basis,
     solve_rational,
@@ -248,3 +251,79 @@ def test_double_description_matches_the_lineality_reference():
             assert sorted(got) == sorted(expected), gens
             pointed += ref.rank(expected) == n
     assert 0 < pointed < 200  # both strongly convex cones and cones with a line
+
+
+def test_simplicial_make_cone_matches_the_double_description():
+    """On n independent generators (scaled duplicates allowed), make_cone
+    returns their primitive vectors and their dual basis: what the double
+    description gives, what the lineality reference gives, and the Cone
+    that a non-extremal generator v0 + v1 forces through the double
+    description."""
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.data())
+    def check(n, data):
+        gens = [tuple(data.draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(n)]
+        assume(rank(gens) == n)
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            k = data.draw(st.integers(2, 3))
+            gens.append(tuple(k * x for x in gens[i]))  # scaled duplicate
+        cone = cones.make_cone(n, gens)
+        prims = sorted({primitive(g) for g in gens})
+        assert cone.rays == tuple(prims) and cone.dim == n and cone.span is None
+        dd = cones._double_description(prims, independent_rows(prims))
+        assert cone.facets == tuple(sorted(f for f, _ in dd))
+        expected, lineality = ref.double_description(n, prims)
+        assert lineality == [] and cone.facets == tuple(sorted(expected))
+        assert ref.extremal_by_rank(n, prims, cone.facets) == cone.rays
+        if n >= 2:
+            assert cones.make_cone(n, gens + [tuple(x + y for x, y in zip(gens[0], gens[1]))]) == cone
+        seen[f"dim {n}"] += 1
+        seen[f"det sign {det(prims) > 0}"] += 1
+        seen["scaled duplicate"] += len(gens) > n
+
+    check()
+    kinds = ["det sign True", "det sign False", "scaled duplicate"] + [f"dim {n}" for n in range(1, 7)]
+    assert all(seen[kind] for kind in kinds), seen
+
+
+def test_standard_lattice_coordinates_match_the_echelon_substitution():
+    """In the standard basis, express_in_basis returns v's entries as ints,
+    None for a non-integral v and ValidationError for the wrong length,
+    as the substitution on the identity and the reference solve do, and
+    to_ambient returns the coordinates."""
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.sampled_from(("int", "integral Fraction", "non-integral", "wrong length")), st.data())
+    def check(n, kind, data):
+        basis = LatticeBasis.standard(n)
+        ints = st.integers(-5, 5)
+        if kind == "wrong length":
+            v = tuple(data.draw(ints) for _ in range(data.draw(st.sampled_from((n - 1, n + 1)))))
+            with pytest.raises(ValidationError):
+                express_in_basis(basis, v)
+            seen[kind] += 1
+            return
+        v = [data.draw(ints) for _ in range(n)]
+        i = data.draw(st.integers(0, n - 1))
+        if kind == "integral Fraction":
+            v[i] = Fraction(v[i])
+        elif kind == "non-integral":
+            v[i] = Fraction(2 * v[i] + 1, 2)
+        got = express_in_basis(basis, v)
+        if kind == "non-integral":
+            expected = None
+        else:
+            expected = echelon_coords(identity(n), [int(x) for x in v])
+            assert all(type(x) is int for x in got)
+            assert basis.to_ambient(got) == tuple(dot(got, col) for col in zip(*identity(n))) == tuple(v)
+            assert all(type(x) is int for x in basis.to_ambient(got))
+        assert got == expected == ref.express_in_basis(basis, v)
+        seen[kind] += 1
+        seen[f"dim {n}"] += 1
+
+    check()
+    kinds = ["int", "integral Fraction", "non-integral", "wrong length"] + [f"dim {n}" for n in range(1, 7)]
+    assert all(seen[kind] for kind in kinds), seen

@@ -11,6 +11,7 @@ from toricmld.errors import (
     NotFullDimensional,
     NotInteriorPoint,
     NotQCartier,
+    ToricError,
     ValidationError,
 )
 from fm_reference import _enumerate_polytope_points
@@ -124,6 +125,9 @@ def test_count_window_validation():
         t.count_window(germ2(3), 0, 1)
     with pytest.raises(ValueError):
         t.count_window(germ2(3), 2, 1)
+    for low, high in ((0, 1), (2, 1), (-1, 1)):
+        with pytest.raises(ToricError, match=r"^window must satisfy 0 < low <= high$"):
+            t.count_window(germ2(3), low, high)
 
 
 def test_pi1_examples():
