@@ -64,22 +64,24 @@ class ToricGerm:
 
     @cached_property
     def rebased(self) -> Rebased:
-        """The germ in coordinates of N; raises as ``log_disc_functional``."""
-        ldf = log_disc_functional(self)
-        if self.lattice.is_standard:
-            cone, coeffs = self.cone, ldf.coeffs
-        else:
-            rays_c = []
-            for ray in self.cone.rays:
-                c = express_in_basis(self.lattice, ray)
-                if c is None:
-                    raise InternalError(f"ray {ray} of a validated germ is not a point of N")
-                rays_c.append(c)
-            cone = make_cone(self.dim, rays_c)
-            coeffs = tuple(ldf(row) for row in self.lattice.rows)
+        """The germ in coordinates of N, with L solved over its rays there:
+        L(ray) = 1 - coeff.  Inconsistency means the log canonical divisor
+        is not Q-Cartier at the point; an underdetermined system means the
+        cone is not full-dimensional."""
+        rays = self.cone.rays
+        if not self.lattice.is_standard:
+            rays = [express_in_basis(self.lattice, ray) for ray in rays]
+            if None in rays:
+                raise InternalError("a ray of a validated germ is not a point of N")
+        coeffs = linalg.solve_rational(rays, [1 - b for b in self.boundary])
+        if coeffs is INCONSISTENT:
+            raise NotQCartier("no linear functional matches all ray values")
+        if coeffs is UNDERDETERMINED:
+            raise NotFullDimensional("the cone does not span the ambient space")
+        cone = self.cone if self.lattice.is_standard else make_cone(self.dim, rays)
         den = math.lcm(*[f.denominator for f in coeffs])
         l_num = tuple(f.numerator * (den // f.denominator) for f in coeffs)
-        return Rebased(ldf, cone, l_num, den)
+        return Rebased(cone, l_num, den)
 
     @cached_property
     def orbifold(self) -> LatticeBasis:
@@ -133,41 +135,12 @@ def multiplicity(coeff) -> int:
 
 
 @dataclass(frozen=True)
-class LogDiscFunctional:
-    """The linear functional measuring log discrepancies of toric valuations."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, v: Sequence) -> Fraction:
-        return Fraction(dot(self.coeffs, v))
-
-
-def log_disc_functional(germ: ToricGerm) -> LogDiscFunctional:
-    """Solve L(ray) = 1 - coeff over all rays.
-
-    The value at the primitive generator of a ray is the log discrepancy
-    of the corresponding invariant divisor.  Inconsistency means the log
-    canonical divisor is not Q-Cartier at the point; an underdetermined
-    system means the cone is not full-dimensional.
-    """
-    sol = linalg.solve_rational(germ.cone.rays, [1 - Fraction(b) for b in germ.boundary])
-    if sol is INCONSISTENT:
-        raise NotQCartier("no linear functional matches all ray values")
-    if sol is UNDERDETERMINED:
-        raise NotFullDimensional("the cone does not span the ambient space")
-    return LogDiscFunctional(sol)
-
-
-@dataclass(frozen=True)
 class Rebased:
-    """A germ's log discrepancy functional ``ldf`` and its cone in integer
-    coordinates with respect to the basis of N.
-
-    Log discrepancies are kept as integer numerators over ``den``:
-    L(c) = dot(l_num, c) / den for rebased coordinates c.
+    """A germ's cone in integer coordinates with respect to the basis of N,
+    and its log discrepancy functional L as integer numerators over
+    ``den``: L(c) = dot(l_num, c) / den for rebased coordinates c.
     """
 
-    ldf: LogDiscFunctional
     cone: Cone
     l_num: tuple[int, ...]
     den: int

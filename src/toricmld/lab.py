@@ -18,7 +18,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain, groupby
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .cones import make_cone
 from .errors import (
@@ -48,10 +50,14 @@ class ConjectureInstance:
     delta: Fraction
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
-        if not (0 < self.delta < 1):
-            raise ValidationError("delta must lie in (0, 1)")
+        _check_thresholds(self.epsilon, self.delta)
+
+
+def _check_thresholds(epsilon: Fraction, delta: Fraction):
+    if not epsilon > 0:
+        raise ValidationError("epsilon must be positive")
+    if not (0 < delta < 1):
+        raise ValidationError("delta must lie in (0, 1)")
 
 
 class Classification(Enum):
@@ -72,21 +78,7 @@ class InstanceResult:
 
 def check_instance(inst: ConjectureInstance) -> InstanceResult:
     """Compute mld, window count and group order, and classify."""
-    return check_instances([inst])[0]
-
-
-def check_instances(instances: Iterable[ConjectureInstance]) -> list[InstanceResult]:
-    """``check_instance`` of every instance, in input order.
-
-    Each distinct germ is evaluated once, for the sorted set of all of
-    its deltas.
-    """
-    instances = list(instances)
-    deltas: dict[ToricGerm, set[Fraction]] = {}
-    for inst in instances:
-        deltas.setdefault(inst.germ, set()).add(inst.delta)
-    evaluated = {germ: _check_germ(germ, sorted(ds)) for germ, ds in deltas.items()}
-    return [evaluated[inst.germ](inst) for inst in instances]
+    return _check_germ(inst.germ, [inst.delta])(inst)
 
 
 def _check_germ(germ: ToricGerm, deltas: list[Fraction]):
@@ -227,71 +219,77 @@ class ScanReport:
         }
 
 
-def _fold(report: ScanReport, inst: ConjectureInstance, result: InstanceResult):
-    if result.classification is Classification.DEGENERATE:
-        report.degenerate += 1
-        return
-    if result.classification is Classification.VIOLATES_MLD:
-        report.violates_mld += 1
-        return
-    key = (inst.germ.dim, result.window_count, inst.epsilon, inst.delta)
-    doc = germ_doc(inst.germ)
-    doc_key = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    cell = report.cells.get(key)
-    if cell is None:
-        report.cells[key] = _Cell(1, result.pi1_order, doc, doc_key)
-        return
-    cell.instances += 1
-    # ties broken by the canonical serialisation, so the witness does not
-    # depend on the instance order
-    if result.pi1_order > cell.max_pi1 or (
-        result.pi1_order == cell.max_pi1 and doc_key < cell.witness_key
-    ):
-        cell.max_pi1 = result.pi1_order
-        cell.witness = doc
-        cell.witness_key = doc_key
-
-
 def scan(instances: Iterable[ConjectureInstance]) -> ScanReport:
-    """Fold instances into a report; the fold is a commutative merge, so
-    the result is independent of the instance order."""
-    instances = list(instances)
+    """Fold instances into a report, streaming: each run of consecutive
+    instances on one germ is evaluated once, for the sorted set of its
+    deltas, and then dropped, so memory is bounded by the report.  The
+    fold is a commutative merge, so the result is independent of the
+    instance order."""
     report = ScanReport(cells={})
-    for inst, result in zip(instances, check_instances(instances)):
-        _fold(report, inst, result)
+    for germ, run in groupby(instances, attrgetter("germ")):
+        run = list(run)
+        _fold_run(report, germ, run, _check_germ(germ, sorted({inst.delta for inst in run})))
     return report
 
 
-def instances_from_spec(spec: dict) -> list[ConjectureInstance]:
-    """Expand a scan specification into a deterministic instance list.
+def _fold_run(report: ScanReport, germ: ToricGerm, run: list[ConjectureInstance], result):
+    """Fold a run of instances on one germ, of results ``result(inst)``,
+    into the report; the germ's witness document is built once."""
+    witness = None
+    for inst in run:
+        res = result(inst)
+        if res.classification is Classification.DEGENERATE:
+            report.degenerate += 1
+        elif res.classification is Classification.VIOLATES_MLD:
+            report.violates_mld += 1
+        else:
+            if witness is None:
+                doc = germ_doc(germ)
+                witness = doc, json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            key = (germ.dim, res.window_count, inst.epsilon, inst.delta)
+            cell = report.cells.setdefault(key, _Cell(0, 0, *witness))
+            cell.instances += 1
+            # ties broken by the canonical serialisation, so the witness
+            # does not depend on the instance order
+            if res.pi1_order > cell.max_pi1 or (
+                res.pi1_order == cell.max_pi1 and witness[1] < cell.witness_key
+            ):
+                cell.max_pi1 = res.pi1_order
+                cell.witness, cell.witness_key = witness
+
+
+def instances_from_spec(spec: dict) -> Iterator[ConjectureInstance]:
+    """Parse a scan specification, then stream its instances germ by germ.
 
     Shape: {"families": [{"name": .., "param_range": [lo, hi]}],
     "sampler": {"n", "max_rays", "coord_bound", "count", "seed"},
-    "grid": [{"epsilon": "p/q", "delta": "p/q"}]}.
+    "grid": [{"epsilon": "p/q", "delta": "p/q"}]}.  The whole spec is
+    read and checked here, before any germ is built; the returned
+    iterator builds each germ when it is reached and yields one instance
+    per grid point, in a deterministic order.
     """
     if not isinstance(spec, dict):
         raise ParseError(f"scan spec must be a JSON object, got {type(spec).__name__}")
-    germs: list[ToricGerm] = []
+    families = []
     for i, fam in enumerate(spec.get("families", [])):
         where = f"families[{i}].param_range"
         param_range = fam["param_range"]
         if not isinstance(param_range, list) or len(param_range) != 2:
             raise ParseError(f"{where}: expected [lo, hi]")
         lo, hi = (parse_int(x, where) for x in param_range)
-        for p in range(lo, hi + 1):
-            germs.append(family(fam["name"], p))
-    sampler = spec.get("sampler")
+        families.append((fam["name"], range(lo, hi + 1)))
+    sampler, sampled = spec.get("sampler"), ()
     if sampler:
         count, n, max_rays, coord_bound, seed = (
             parse_int(sampler[k], f"sampler.{k}")
             for k in ("count", "n", "max_rays", "coord_bound", "seed")
         )
-        for i in range(count):
-            germs.append(sample_random(n, max_rays, coord_bound, seed + i))
+        sampled = (sample_random(n, max_rays, coord_bound, s) for s in range(seed, seed + count))
     grid = [
         (parse_q(g["epsilon"], f"grid[{i}].epsilon"), parse_q(g["delta"], f"grid[{i}].delta"))
         for i, g in enumerate(spec["grid"])
     ]
-    return [
-        ConjectureInstance(germ, eps, delta) for germ in germs for eps, delta in grid
-    ]
+    for eps, delta in grid:
+        _check_thresholds(eps, delta)
+    germs = chain((family(name, p) for name, params in families for p in params), sampled)
+    return (ConjectureInstance(germ, eps, delta) for germ in germs for eps, delta in grid)

@@ -303,6 +303,9 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     """Orbifold-primitive generators of the decomposition rays, their log
     discrepancies, and the two quotient orders.
 
+    A vector's log discrepancy is read off its ray coefficients in d by
+    linearity, L(ray_j) = 1 - b_j, over the gcd of its orbifold coordinates.
+
     The order of the quotient by the raw vectors bounds the order of the
     regional fundamental group from above, because the vectors generate
     a subgroup of the group the rays generate; this is checked
@@ -312,21 +315,20 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     if det(d.vectors) == 0:
         raise DependentVectors("decomposition vectors are linearly dependent")
     ob = germ.orbifold
-    ldf = germ.rebased.ldf
+    germ.rebased  # L exists: raises NotQCartier or NotFullDimensional otherwise
     raw_coords = []
     prim_coords = []
     k_values = []
     prim_ambient = []
-    for v in d.vectors:
+    for v, row in zip(d.vectors, d.coefficients):
         c = express_in_basis(ob, v)
         if c is None:
             raise InternalError(f"ray combination {tuple(v)} is not in the orbifold lattice")
         raw_coords.append(c)
         c0 = linalg.primitive(c)
         prim_coords.append(c0)
-        amb = ob.to_ambient(c0)
-        prim_ambient.append(amb)
-        k_values.append(ldf(amb))
+        prim_ambient.append(ob.to_ambient(c0))
+        k_values.append(sum(k * (1 - b) for k, b in zip(row, germ.boundary)) / math.gcd(*c))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
     pi1_order = pi1_reg(germ).order

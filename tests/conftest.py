@@ -53,13 +53,12 @@ def _box_volume(germ: t.ToricGerm) -> int:
     """Size of the naive bounding box the oracle would scan."""
     import math
 
-    ldf = t.log_disc_functional(germ)
+    # L(ray) = 1 - b, so L(ray sum) is the sum of 1 - b
     rays = germ.cone.rays
-    bound = sum(ldf(r) for r in rays)
+    bound = sum(1 - b for b in germ.boundary)
     verts = [tuple(Fraction(0) for _ in range(germ.dim))]
-    for r in rays:
-        lv = ldf(r)
-        verts.append(tuple(bound * Fraction(x) / lv for x in r))
+    for r, b in zip(rays, germ.boundary):
+        verts.append(tuple(bound * Fraction(x) / (1 - b) for x in r))
     vol = 1
     for j in range(germ.dim):
         lo = math.floor(min(v[j] for v in verts))

@@ -242,6 +242,14 @@ SAMPLER = {"n": 2, "max_rays": 3, "coord_bound": 4, "count": 2, "seed": 11}
          r"families\[0\]\.param_range: expected an integer, got bool"),
         ({"families": [{"name": "ex1", "param_range": [2, 3, 4]}], "grid": GRID},
          r"families\[0\]\.param_range: expected \[lo, hi\]"),
+        # the whole spec is parsed before any germ is built, so each of
+        # these wins over the BadParam of ex1 at param 1
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}], "grid": [{"epsilon": 0.1, "delta": "1/2"}]},
+         r"grid\[0\]\.epsilon: expected a rational string, got float"),
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}], "sampler": dict(SAMPLER, n=3.0), "grid": GRID},
+         r"sampler\.n: expected an integer, got float"),
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}, {"param_range": [2, 2]}], "grid": GRID},
+         r"scan spec is malformed: 'name'"),
     ]
     + [
         ({"sampler": dict(SAMPLER, **{key: bad}), "grid": GRID},
@@ -249,7 +257,8 @@ SAMPLER = {"n": 2, "max_rays": 3, "coord_bound": 4, "count": 2, "seed": 11}
         for key in ("n", "max_rays", "coord_bound", "count", "seed")
         for bad in (3.0, True)
     ],
-    ids=["list", "float-epsilon", "bool-delta", "float-param", "bool-param", "three-params"]
+    ids=["list", "float-epsilon", "bool-delta", "float-param", "bool-param", "three-params",
+         "grid-before-family", "sampler-before-family", "name-before-family"]
     + [f"{key}-{kind}" for key in ("n", "max_rays", "coord_bound", "count", "seed")
        for kind in ("float", "bool")],
 )
@@ -260,6 +269,13 @@ def test_cli_scan_spec_validation(tmp_path, spec, message):
     assert code == 1 and out == ""
     assert err.startswith("error: ParseError: ")
     assert re.search(message, err)
+
+
+def test_cli_scan_grid_out_of_range_without_germs(tmp_path):
+    """The grid is checked with the spec, even when there is no germ."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"grid": [{"epsilon": "-1", "delta": "2"}]}))
+    assert run("scan", "--spec", str(spec_path)) == (1, "", "error: ValidationError: epsilon must be positive\n")
 
 
 def test_cli_scan_spec_takes_integer_and_string_rationals(tmp_path):
@@ -277,22 +293,19 @@ def test_cli_scan_spec_takes_integer_and_string_rationals(tmp_path):
     assert {(c["epsilon"], c["delta"]) for c in cells} == {("1/2", "1/10")}
 
 
-def _spy(monkeypatch, fn, modules=None):
-    """Record the arguments of every call of the package function fn made
-    through the given modules (default: every package module that binds it)."""
-    calls = []
+def _count_builds(monkeypatch, name):
+    """Record the germ of every build of the cached ``ToricGerm`` property."""
+    builds = []
+    build = getattr(invariants.ToricGerm, name).func
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
+    def counting(germ):
+        builds.append(germ)
+        return build(germ)
 
-    if modules is None:
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toricmld"]
-    for mod in modules:
-        for attr, value in list(vars(mod).items()):
-            if value is fn:
-                monkeypatch.setattr(mod, attr, spy)
-    return calls
+    prop = functools.cached_property(counting)
+    prop.__set_name__(invariants.ToricGerm, name)
+    monkeypatch.setattr(invariants.ToricGerm, name, prop)
+    return builds
 
 
 @pytest.mark.parametrize(
@@ -305,35 +318,25 @@ def _spy(monkeypatch, fn, modules=None):
     ids=["extended-lattice", "boundary"],
 )
 def test_cli_blowup_solves_once(germ_file, monkeypatch, doc):
-    """One blowup command: one solve of L, one orbifold lattice (built by
-    the cached ``ToricGerm.orbifold``)."""
-    solves = _spy(monkeypatch, invariants.log_disc_functional)
-    builds = []
-    build = invariants.ToricGerm.orbifold.func
-
-    def counting(germ):
-        builds.append(germ)
-        return build(germ)
-
-    orbifold = functools.cached_property(counting)
-    orbifold.__set_name__(invariants.ToricGerm, "orbifold")
-    monkeypatch.setattr(invariants.ToricGerm, "orbifold", orbifold)
+    """One blowup command: one solve of L (built by the cached
+    ``ToricGerm.rebased``), one orbifold lattice (``ToricGerm.orbifold``)."""
+    solves = _count_builds(monkeypatch, "rebased")
+    builds = _count_builds(monkeypatch, "orbifold")
     code, out, _ = run("blowup", germ_file(doc))
     assert code == 0 and int(json.loads(out)["pi1_order"]) > 1
     assert len(solves) == 1 and len(builds) == 1
 
 
 def test_cli_sampler_scan_solves_once_per_germ(tmp_path, monkeypatch):
-    solves = _spy(monkeypatch, invariants.log_disc_functional)
+    solves = _count_builds(monkeypatch, "rebased")
     spec = {"sampler": {"n": 3, "max_rays": 5, "coord_bound": 2, "count": 12, "seed": 7},
             "grid": [{"epsilon": "1/2", "delta": "1/2"}, {"epsilon": "1/4", "delta": "3/4"}]}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     code, out, _ = run("scan", "--spec", str(spec_path))
     assert code == 0
-    solved = [args[0] for args in solves]  # kept alive, so ids are not reused
-    assert len({id(g) for g in solved}) == len(solved)
-    assert len(solved) >= 12
+    # the builds' germs are kept alive, so ids are not reused
+    assert len({id(g) for g in solves}) == len(solves) >= 12
 
 
 def test_cli_scan_deterministic(tmp_path):

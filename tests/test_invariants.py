@@ -61,13 +61,16 @@ def test_orbifold_lattice_examples():
 
 
 def test_log_disc_functional_examples():
-    g = germ2(7)
-    assert t.log_disc_functional(g).coeffs == (0, 1)
-    g = t.make_germ(FOURRAY)
-    assert t.log_disc_functional(g).coeffs == (1, 1, 1)
+    rb = germ2(7).rebased
+    assert (rb.l_num, rb.den) == ((0, 1), 1)
+    rb = t.make_germ(FOURRAY).rebased
+    assert (rb.l_num, rb.den) == ((1, 1, 1), 1)
     boundary = [F(1, 2) if r == (1, 0, 0) else F(0) for r in FOURRAY.rays]
     with pytest.raises(NotQCartier):
-        t.log_disc_functional(t.make_germ(FOURRAY, boundary))
+        t.make_germ(FOURRAY, boundary).rebased
+    # in N coordinates: ex4's N has basis rows (1/3, 1/3, 1/3), e2, e3
+    rb = t.family("ex4", 3).rebased
+    assert (rb.l_num, rb.den) == ((1, 1, 1), 1)
 
 
 def test_mld_examples():
@@ -256,7 +259,6 @@ def test_derived_data_lives_on_the_germ_and_is_freed_with_it():
         assert t.pi1_reg(germ).order == 2
         t.decompose(germ, m)
         assert germ.rebased is germ.rebased and germ.orbifold is germ.orbifold
-        assert germ.rebased.ldf == t.log_disc_functional(germ)
         ref = weakref.ref(germ)
         del germ
         assert ref() is None

@@ -1,19 +1,22 @@
 import json
 import random
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import toricmld as t
-from toricmld import invariants
+from toricmld import invariants, lab
 from toricmld.errors import (
     BadParam,
     NotFullDimensional,
     NotQCartier,
+    ParseError,
     SamplingExhausted,
     ValidationError,
 )
-from toricmld.lab import Classification, InstanceResult, check_instances, instances_from_spec
+from toricmld.lab import Classification, InstanceResult, instances_from_spec
 
 from conftest import sampled_germs
 
@@ -174,7 +177,7 @@ def test_instances_from_spec():
         "sampler": {"n": 2, "max_rays": 3, "coord_bound": 3, "count": 2, "seed": 5},
         "grid": [{"epsilon": "1/2", "delta": "1/2"}, {"epsilon": "1/4", "delta": "1/4"}],
     }
-    instances = instances_from_spec(spec)
+    instances = list(instances_from_spec(spec))
     assert len(instances) == (3 + 2) * 2
     assert {i.epsilon for i in instances} == {F(1, 2), F(1, 4)}
 
@@ -190,6 +193,14 @@ def _per_instance(inst):
     ok = m.value > inst.epsilon
     cls = Classification.SATISFIES if ok else Classification.VIOLATES_MLD
     return InstanceResult(m.value, ok, wc.count, t.pi1_reg(inst.germ).order, cls)
+
+
+def _fold_per_instance(instances) -> t.ScanReport:
+    """The report folded from ``_per_instance`` results, one instance at a time."""
+    report = t.ScanReport(cells={})
+    for inst in instances:
+        lab._fold_run(report, inst.germ, [inst], _per_instance)
+    return report
 
 
 def test_check_instances_matches_per_instance_path(monkeypatch):
@@ -217,10 +228,108 @@ def test_check_instances_matches_per_instance_path(monkeypatch):
         return real(cells, b_num)
 
     monkeypatch.setattr(invariants, "_lifted_values", counting)
-    fast = check_instances(instances)
+    fast = t.scan(instances).to_doc()
     monkeypatch.undo()
 
     # one lift per germ, up to mld + max(deltas); none for the degenerate germ
     assert len(enumerations) == len(set(germs)) - 1
-    assert fast == [_per_instance(inst) for inst in instances]
-    assert check_instances(list(reversed(instances))) == fast[::-1]
+    assert fast == _fold_per_instance(instances).to_doc()
+    assert t.scan(reversed(instances)).to_doc() == fast
+    assert [t.check_instance(inst) for inst in instances] == [_per_instance(inst) for inst in instances]
+
+
+def _counting_germ_builds(monkeypatch) -> list:
+    """Record every germ built by ``family`` or ``sample_random`` in ``lab``."""
+    built = []
+    for name in ("family", "sample_random"):
+        def build(*args, _real=getattr(lab, name)):
+            built.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(lab, name, build)
+    return built
+
+
+GRID = [{"epsilon": "1/2", "delta": "1/2"}]
+SAMPLER = {"n": 2, "max_rays": 3, "coord_bound": 3, "count": 2, "seed": 5}
+
+
+def test_instances_from_spec_builds_no_germ_before_it_is_reached(monkeypatch):
+    built = _counting_germ_builds(monkeypatch)
+    spec = {"families": [{"name": "ex1", "param_range": [2, 4]}], "sampler": SAMPLER, "grid": GRID}
+    stream = instances_from_spec(spec)
+    assert built == []
+    first = next(stream)
+    assert built == [("ex1", 2)] and first.germ == t.family("ex1", 2)
+    assert len(list(stream)) == 4 and len(built) == 5
+
+
+@pytest.mark.parametrize(
+    "spec, error, message",
+    [
+        ({"families": [{"name": "ex1", "param_range": [2, 3]}],
+          "grid": [{"epsilon": "1/2", "delta": "1/2"}, {"epsilon": "1/2", "delta": "3/2"}]},
+         ValidationError, "delta must lie in"),
+        # ex1 needs param >= 2, so building its germ would raise BadParam
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}],
+          "grid": [{"epsilon": 0.1, "delta": "1/2"}]}, ParseError, r"grid\[0\]\.epsilon"),
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}], "grid": GRID,
+          "sampler": {"n": 2}}, KeyError, "count"),
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}]}, KeyError, "grid"),
+    ],
+    ids=["bad-delta", "grid-parse", "missing-sampler-field", "missing-grid"],
+)
+def test_spec_errors_come_before_any_germ(monkeypatch, spec, error, message):
+    built = _counting_germ_builds(monkeypatch)
+    with pytest.raises(error, match=message):
+        instances_from_spec(spec)
+    assert built == []
+
+
+def test_germ_building_errors_come_from_the_stream():
+    spec = {"families": [{"name": "ex1", "param_range": [1, 1]}], "grid": GRID}
+    stream = instances_from_spec(spec)
+    with pytest.raises(BadParam):
+        next(stream)
+    stream = instances_from_spec({"sampler": dict(SAMPLER, n=9), "grid": GRID})
+    with pytest.raises(BadParam):
+        next(stream)
+
+
+def test_scan_holds_one_germ_at_a_time():
+    """While a germ is built, the scan holds at most the germ before it."""
+    refs = []
+    grid = [(F(1, 2), F(1, 2)), (F(1, 3), F(3, 4))]
+
+    def stream():
+        for p in range(2, 30):
+            assert sum(ref() is not None for ref in refs) <= 1
+            germ = t.family("ex3", p)
+            refs.append(weakref.ref(germ))
+            for eps, delta in grid:
+                yield t.ConjectureInstance(germ, eps, delta)
+            del germ
+
+    report = t.scan(stream())
+    assert sum(cell.instances for cell in report.cells.values()) == 28 * 2
+
+
+def _scan_peak(count: int) -> int:
+    spec = {
+        "sampler": {"n": 2, "max_rays": 4, "coord_bound": 4, "count": count, "seed": 201},
+        "grid": [{"epsilon": "1/2", "delta": "1/2"}, {"epsilon": "1/3", "delta": "3/4"},
+                 {"epsilon": "1/4", "delta": "1/4"}],
+    }
+    tracemalloc.start()
+    try:
+        t.scan(instances_from_spec(spec))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_is_bounded_by_the_report():
+    """A 16 times longer scan of the same sampler peaks within 0.5 MB of
+    the short one: germs are dropped once they are folded."""
+    small, large = _scan_peak(100), _scan_peak(1600)
+    assert large - small < 500_000, (small, large)

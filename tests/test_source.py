@@ -1,7 +1,8 @@
 """Source rules for the package: internal checks are not ``assert``s,
 which ``python -O`` strips, the package imports only the standard
-library and itself, and its arithmetic is exact: no float literal and no
-use of the name ``float``, ``oracle.py`` included."""
+library and itself, its arithmetic is exact: no float literal and no
+use of the name ``float``, ``oracle.py`` included, and its one
+process-wide cache is the command-line parser."""
 
 import ast
 import sys
@@ -128,4 +129,71 @@ def test_private_reads_are_found(tmp_path):
         "sample.py:3: imports _fold",
         "sample.py:4: reads invariants._rebased",
         "sample.py:5: reads la._eliminate",
+    ]
+
+
+CACHES = ("cache", "lru_cache")
+
+
+def _caches(path: Path) -> list[str]:
+    """Uses of ``functools.cache`` or ``functools.lru_cache``, except as a
+    decorator of ``_build_parser`` in ``cli.py``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("cli.py", "_build_parser")
+        for decorator in node.decorator_list
+        for sub in ast.walk(decorator)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [f"{path.name}:{node.lineno}: imports {a.name}" for a in node.names if a.name in CACHES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            out.append(f"{path.name}:{node.lineno}: functools.{node.attr}")
+    return sorted(out)
+
+
+def test_package_caches_only_the_parser():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "cli.py" in {path.name for path in modules}
+    found = [v for path in modules for v in _caches(path)]
+    assert found == []
+
+
+def test_cache_rule_catches_a_violation(tmp_path):
+    source = (
+        "import functools\n"
+        "from functools import cached_property, lru_cache\n"
+        "@functools.cache\n"
+        "def _build_parser(): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def table(n): pass\n"
+        "memo = functools.cache(f)\n"
+        "class Germ:\n"
+        "    @cached_property\n"
+        "    def rebased(self): pass\n"
+    )
+    cli = tmp_path / "cli.py"
+    cli.write_text(source)
+    assert _caches(cli) == [
+        "cli.py:2: imports lru_cache",
+        "cli.py:5: functools.lru_cache",
+        "cli.py:7: functools.cache",
+    ]
+    other = tmp_path / "lab.py"
+    other.write_text(source)
+    assert _caches(other) == [
+        "lab.py:2: imports lru_cache",
+        "lab.py:3: functools.cache",
+        "lab.py:5: functools.lru_cache",
+        "lab.py:7: functools.cache",
     ]

@@ -1,10 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import toricmld as t
-from toricmld.errors import InternalError, NotFullDimensional, NotInteriorPoint, TooManyRays
+from toricmld.errors import InternalError, NotFullDimensional, NotInteriorPoint, NotQCartier, TooManyRays
 from toricmld.linalg import dot, rank, saturation_basis
 from toricmld.structure import (
     Decomposition,
@@ -271,6 +272,10 @@ def test_blowup_report_examples():
     # the decomposition quotient is strictly coarser
     assert t.pi1_reg(g).order == 1
     assert rep.coarse_order >= 1
+    # with a boundary that is not Q-Cartier there is no L to read
+    boundary = [F(1, 2) if r == (1, 0, 0) else F(0) for r in FOURRAY.rays]
+    with pytest.raises(NotQCartier):
+        t.blowup_report(t.make_germ(FOURRAY, boundary), d)
 
 
 def test_blowup_sigma0_inside_cone():
@@ -303,6 +308,12 @@ def test_decompose_100_random_cones_at_minimizers():
         _check_decomposition(g, m, d)
         rep = t.blowup_report(g, d)
         assert rep.coarse_order >= t.pi1_reg(g).order
+        # each k-value, read off the coefficients, is L at the vector's
+        # primitive generator in the orbifold lattice
+        rb = g.rebased
+        for v, k in zip(d.vectors, rep.k_values):
+            g_v = math.gcd(*t.express_in_basis(g.orbifold, v))
+            assert k == F(dot(rb.l_num, t.express_in_basis(g.lattice, v)), rb.den * g_v)
         max_weight[g.dim] = max(max_weight.get(g.dim, 0), d.total_weight)
     print(f"max decomposition weight by dimension: {max_weight}")
 
