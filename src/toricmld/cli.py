@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("blowup", _cmd_blowup, "blow-up report at a minimizer of the mld")
 
     p = add("family", _cmd_family, "emit a germ document of a named family", germ_arg=False)
-    p.add_argument("--name", required=True, choices=["ex1", "ex2", "ex3", "ex4"])
+    p.add_argument("--name", required=True, choices=list(lab.FAMILIES))
     p.add_argument("--param", required=True, type=int)
 
     p = add("scan", _cmd_scan, "aggregate a scan specification", germ_arg=False)

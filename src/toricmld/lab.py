@@ -36,7 +36,7 @@ from .errors import (
 )
 from .germio import format_q, germ_doc, parse_int, parse_q
 from .invariants import ToricGerm, make_germ, mld_window_counts, pi1_reg
-from .linalg import lattice_from_generators
+from .linalg import identity, lattice_from_generators
 
 SCOPE_NOTE = "window counts cover toric divisorial valuations only"
 
@@ -106,30 +106,46 @@ def _check_germ(germ: ToricGerm, deltas: list[Fraction]):
 # instance sources
 
 
-def family(name: str, param: int) -> ToricGerm:
-    """The four boundary-free example families.
+# The four boundary-free example families, name -> (largest param or None,
+# germ builder); every one needs param >= 2.  ex1: 2-dim cone over (0,1),
+# (n,1); ex2: 2-dim cone over (-1,n), (1,n); ex3: 3-dim cone over (1,0,0),
+# (0,1,0), (1,1,r); ex4: the n-dim orthant with the ambient lattice
+# extended by (1/n, ..., 1/n).
+FAMILIES = {
+    "ex1": (None, lambda n: make_germ(make_cone(2, [(0, 1), (n, 1)]))),
+    "ex2": (None, lambda n: make_germ(make_cone(2, [(-1, n), (1, n)]))),
+    "ex3": (None, lambda r: make_germ(make_cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, r)]))),
+    "ex4": (8, lambda n: make_germ(
+        make_cone(n, identity(n)), None, lattice_from_generators(n, [(Fraction(1, n),) * n])
+    )),
+}
 
-    ex1: 2-dim cone over (0,1), (n,1); ex2: 2-dim cone over (-1,n),
-    (1,n); ex3: 3-dim cone over (1,0,0), (0,1,0), (1,1,r); ex4: the
-    n-dim orthant with the ambient lattice extended by (1/n, ..., 1/n).
-    """
-    if name in ("ex1", "ex2", "ex3"):
-        if param < 2:
-            raise BadParam(f"{name} needs param >= 2, got {param}")
-    if name == "ex1":
-        return make_germ(make_cone(2, [(0, 1), (param, 1)]))
-    if name == "ex2":
-        return make_germ(make_cone(2, [(-1, param), (1, param)]))
-    if name == "ex3":
-        return make_germ(make_cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, param)]))
-    if name == "ex4":
-        if not (2 <= param <= 8):
-            raise BadParam(f"ex4 needs 2 <= param <= 8, got {param}")
-        n = param
-        orthant = make_cone(n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
-        lattice = lattice_from_generators(n, [tuple(Fraction(1, n) for _ in range(n))])
-        return make_germ(orthant, None, lattice)
-    raise BadParam(f"unknown family {name!r}")
+
+def _check_family(name, lo: int, hi: int):
+    """BadParam unless name is a family and each param in lo..hi is within
+    its limits; the message names the first that is not, as a build would."""
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise BadParam(f"unknown family {name!r}")
+    top = FAMILIES[name][0]
+    if lo <= hi and lo < 2 and top is None:
+        raise BadParam(f"{name} needs param >= 2, got {lo}")
+    if lo <= hi and top is not None and (lo < 2 or hi > top):
+        raise BadParam(f"{name} needs 2 <= param <= {top}, got {lo if lo < 2 else max(lo, top + 1)}")
+
+
+def family(name: str, param: int) -> ToricGerm:
+    """The germ of the example family ``name`` at ``param``; see ``FAMILIES``."""
+    _check_family(name, param, param)
+    return FAMILIES[name][1](param)
+
+
+def _check_sampler(n: int, max_rays: int, coord_bound: int):
+    if not (2 <= n <= 5):
+        raise BadParam(f"dimension {n} outside 2..5")
+    if max_rays < n:
+        raise BadParam("max_rays must be at least the dimension")
+    if coord_bound < 1:
+        raise BadParam("coord_bound must be positive")
 
 
 def sample_random(n: int, max_rays: int, coord_bound: int, seed: int) -> ToricGerm:
@@ -140,12 +156,7 @@ def sample_random(n: int, max_rays: int, coord_bound: int, seed: int) -> ToricGe
     boundary (zero, or coefficients from the standard set) and retries
     the whole draw until the germ passes the Q-Cartier check.
     """
-    if not (2 <= n <= 5):
-        raise BadParam(f"dimension {n} outside 2..5")
-    if max_rays < n:
-        raise BadParam("max_rays must be at least the dimension")
-    if coord_bound < 1:
-        raise BadParam("coord_bound must be positive")
+    _check_sampler(n, max_rays, coord_bound)
     rng = random.Random(seed)
     for _ in range(500):
         k = rng.randint(n, max_rays)
@@ -264,7 +275,8 @@ def instances_from_spec(spec: dict) -> Iterator[ConjectureInstance]:
     Shape: {"families": [{"name": .., "param_range": [lo, hi]}],
     "sampler": {"n", "max_rays", "coord_bound", "count", "seed"},
     "grid": [{"epsilon": "p/q", "delta": "p/q"}]}.  The whole spec is
-    read and checked here, before any germ is built; the returned
+    read and checked here, family names, param limits and sampler ranges
+    included, before any germ is built; the returned
     iterator builds each germ when it is reached and yields one instance
     per grid point, in a deterministic order.
     """
@@ -277,7 +289,7 @@ def instances_from_spec(spec: dict) -> Iterator[ConjectureInstance]:
         if not isinstance(param_range, list) or len(param_range) != 2:
             raise ParseError(f"{where}: expected [lo, hi]")
         lo, hi = (parse_int(x, where) for x in param_range)
-        families.append((fam["name"], range(lo, hi + 1)))
+        families.append((fam["name"], lo, hi))
     sampler, sampled = spec.get("sampler"), ()
     if sampler:
         count, n, max_rays, coord_bound, seed = (
@@ -291,5 +303,10 @@ def instances_from_spec(spec: dict) -> Iterator[ConjectureInstance]:
     ]
     for eps, delta in grid:
         _check_thresholds(eps, delta)
-    germs = chain((family(name, p) for name, params in families for p in params), sampled)
+    # the germ parameters, in stream order, after every parse error
+    for name, lo, hi in families:
+        _check_family(name, lo, hi)
+    if sampler and count > 0:
+        _check_sampler(n, max_rays, coord_bound)
+    germs = chain((family(name, p) for name, lo, hi in families for p in range(lo, hi + 1)), sampled)
     return (ConjectureInstance(germ, eps, delta) for germ in germs for eps, delta in grid)

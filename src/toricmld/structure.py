@@ -11,7 +11,8 @@ Three related constructions:
 * a bounded decomposition k0 * m = v_1 + ... + v_n where each v_i is a
   nonnegative integer combination of the rays and the v_i are linearly
   independent, built by recursing through the trichotomy and merging
-  the two sub-cone solutions along a spanning pair.
+  the two sub-cone solutions along a spanning pair; every level carries
+  one integer coefficient row per vector.
 
 The decomposition accepts any interior lattice point, not only a
 minimizer of the log discrepancy; nothing below uses minimality.
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .germio import format_q
 from .invariants import ToricGerm, pi1_reg
-from .linalg import det, dot, express_in_basis, rank, solve_rational, transpose
+from .linalg import det, dot, express_in_basis, mat_vec, rank, solve_rational, transpose
 
 MAX_SUBSET_RAYS = 16
 
@@ -134,9 +135,13 @@ def _tau_containing_ray(c: Cone, m, rho) -> Cone:
     """A proper-subset sub-cone containing rho with m in its relative
     interior: walk from m along -rho to the boundary and recurse into
     the face met there."""
-    ratios = [Fraction(dot(f, m), dot(f, rho)) for f in c.facets if dot(f, rho) > 0]
-    lam = min(ratios)
-    m2 = tuple(Fraction(x) - lam * r for x, r in zip(m, rho))
+    # the boundary point m - (a/b) rho at the least ratio a/b = f.m / f.rho,
+    # scaled by b: a positive multiple has the same minimal face and relint
+    a, b = min(
+        ((dot(f, m), dot(f, rho)) for f in c.facets if dot(f, rho) > 0),
+        key=lambda ab: Fraction(*ab),
+    )
+    m2 = tuple(b * x - a * r for x, r in zip(m, rho))
     face = minimal_face_containing(c, m2)
     if not face.ray_indices:
         raise InternalError("descent from an interior point reached the origin")
@@ -182,82 +187,64 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
 # ---------------------------------------------------------------------------
 
 
-def _simplicial_decomposition(cone: Cone, m):
-    sol = solve_rational(transpose(cone.rays), m)
-    if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
-        raise InternalError("an interior point is not a positive combination of simplicial rays")
-    k0 = math.lcm(*[x.denominator for x in sol])
-    vectors = []
-    grids = []
-    for coeff, ray in zip(sol, cone.rays):
-        k = int(coeff * k0)
-        vectors.append(tuple(k * x for x in ray))
-        grids.append({ray: k})
-    return k0, vectors, grids
-
-
-def _rebase_to_span(tau: Cone, m):
-    sat = tau.span
-    cols = list(zip(*sat))
-
-    def down(v):
-        c = linalg.echelon_coords(sat, v)
-        if c is None:
-            raise InternalError(f"{tuple(v)} has no integer coordinates in the saturated span")
-        return c
-
-    def up(v):
-        return tuple(dot(v, col) for col in cols)
-
-    return [down(r) for r in tau.rays], down(m), len(sat), up
+def _over(rows, sub_rays, rays):
+    """Rows over sub_rays, a sublist of rays, as rows over rays."""
+    pos = {r: i for i, r in enumerate(sub_rays)}
+    return [[row[pos[r]] if r in pos else 0 for r in rays] for row in rows]
 
 
 def _decompose_rec(cone: Cone, m):
-    """Decomposition for a cone that is full-dimensional in Q^n."""
-    n = cone.n
+    """k0 and nonnegative integer rows over cone.rays, one per vector
+    v_i = rows[i] . rays, with k0 * m = sum of the v_i and the v_i
+    independent, for a cone that is full-dimensional in Q^n."""
+    n, k = cone.n, len(cone.rays)
     tri = trichotomy(cone, m)
     if isinstance(tri, Simplicial):
-        return _simplicial_decomposition(cone, m)
+        sol = solve_rational(transpose(cone.rays), m)
+        if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
+            raise InternalError("an interior point is not a positive combination of simplicial rays")
+        k0 = math.lcm(*[x.denominator for x in sol])
+        return k0, [[int(x * k0) if i == j else 0 for j in range(k)] for i, x in enumerate(sol)]
     if isinstance(tri, FullDimSubcone):
-        return _decompose_rec(tri.tau, m)
-    parts = []
+        k0, rows = _decompose_rec(tri.tau, m)
+        return k0, _over(rows, tri.tau.rays, cone.rays)
+    halves = []
     for tau in (tri.tau1, tri.tau2):
-        sub_rays, sub_m, d, up = _rebase_to_span(tau, m)
-        k0_t, vecs_t, grids_t = _decompose_rec(make_cone(d, sub_rays), sub_m)
-        vecs = [up(v) for v in vecs_t]
-        grids = [{up(r): k for r, k in g.items()} for g in grids_t]
-        parts.append((k0_t, vecs, grids))
-    (k0a, vecs_a, grids_a), (k0b, vecs_b, grids_b) = parts
-    basis = list(vecs_a)
-    basis_grids = list(grids_a)
-    unused_vecs, unused_grids = [], []
-    for v, g in zip(vecs_b, grids_b):
-        if len(basis) < n and rank(basis + [v]) > rank(basis):
+        # the half in coordinates of its saturated span, where it is
+        # full-dimensional; an echelon basis with positive pivots keeps the
+        # lexicographic order, so its rays come in the order of tau.rays
+        coords = []
+        for v in (*tau.rays, m):
+            c = linalg.echelon_coords(tau.span, v)
+            if c is None:
+                raise InternalError(f"{tuple(v)} has no integer coordinates in the saturated span")
+            coords.append(c)
+        *sub_rays, sub_m = coords
+        k0, rows = _decompose_rec(make_cone(len(tau.span), sub_rays), sub_m)
+        halves.append((k0, _over(rows, tau.rays, cone.rays)))
+    (k0a, rows), (k0b, rows_b) = halves
+    cols = transpose(cone.rays)
+    basis = [mat_vec(cols, row) for row in rows]
+    unused = [0] * k
+    for row in rows_b:
+        v = mat_vec(cols, row)
+        if len(basis) < n and rank(basis + [v]) > len(basis):
             basis.append(v)
-            basis_grids.append(g)
+            rows.append(row)
         else:
-            unused_vecs.append(v)
-            unused_grids.append(g)
+            unused = [a + b for a, b in zip(unused, row)]
     if rank(basis) != n:
         raise InternalError("the two sub-cone decompositions do not span")
-    if unused_vecs:
-        w = tuple(sum(col) for col in zip(*unused_vecs))
-        gw = {}
-        for g in unused_grids:
-            for r, k in g.items():
-                gw[r] = gw.get(r, 0) + k
+    if any(unused):
+        w = mat_vec(cols, unused)
         for i in range(n):
             cand = basis[:i] + [tuple(a + b for a, b in zip(basis[i], w))] + basis[i + 1:]
             if rank(cand) == n:
-                basis = cand
-                merged = dict(basis_grids[i])
-                for r, k in gw.items():
-                    merged[r] = merged.get(r, 0) + k
-                basis_grids[i] = merged
+                rows[i] = [a + b for a, b in zip(rows[i], unused)]
                 break
         else:  # pragma: no cover - impossible: k0*m would vanish
             raise InternalError("no replacement keeps the family independent")
-    return k0a + k0b, basis, basis_grids
+    return k0a + k0b, rows
 
 
 def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
@@ -266,19 +253,12 @@ def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
     m_c = express_in_basis(germ.lattice, m)
     if m_c is None or membership(rb.cone, m_c) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not an interior lattice point")
-    k0, vecs_c, grids = _decompose_rec(rb.cone, m_c)
-    amb_of = {r: germ.lattice.to_ambient(r) for r in rb.cone.rays}
-    col = {amb: j for j, amb in enumerate(germ.cone.rays)}
-    vectors = []
-    coefficients = []
-    for v, g in zip(vecs_c, grids):
-        vectors.append(germ.lattice.to_ambient(v))
-        row = [0] * len(germ.cone.rays)
-        for r, k in g.items():
-            row[col[amb_of[r]]] = k
-        coefficients.append(tuple(row))
-    total = k0 + sum(sum(row) for row in coefficients)
-    result = Decomposition(k0, tuple(vectors), tuple(coefficients), total)
+    # N's basis is upper triangular with positive pivots, so rb.cone.rays
+    # come in the order of germ.cone.rays and the rows are over both
+    k0, rows = _decompose_rec(rb.cone, m_c)
+    cols = transpose(germ.cone.rays)
+    vectors = tuple(mat_vec(cols, row) for row in rows)
+    result = Decomposition(k0, vectors, tuple(map(tuple, rows)), k0 + sum(map(sum, rows)))
     _validate_decomposition(germ, m, result)
     return result
 

@@ -165,6 +165,8 @@ def test_criterion_6_linear_algebra_properties():
 
 def test_criterion_7_geometry_properties():
     with criterion(7, "duality, membership, GL_n(Z) equivariance on 50 germs x 20 transforms, <2min"):
+        from toricmld.structure import _validate_decomposition
+
         start = time.monotonic()
         germs = geometry_corpus()
         assert len(germs) == 50
@@ -189,6 +191,9 @@ def test_criterion_7_geometry_properties():
                 wc = t.count_window(tg, r.value, r.value + F(1, 2))
                 assert wc.count == base_window.count
                 assert t.pi1_reg(tg).invariant_factors == base_pi.invariant_factors
+                # k0 is not compared: the transform reorders the rays
+                tm = tuple(sum(col) for col in zip(*tg.cone.rays))
+                _validate_decomposition(tg, tm, t.decompose(tg, tm))
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"took {elapsed:.1f}s"
 

@@ -286,14 +286,60 @@ def test_spec_errors_come_before_any_germ(monkeypatch, spec, error, message):
     assert built == []
 
 
-def test_germ_building_errors_come_from_the_stream():
-    spec = {"families": [{"name": "ex1", "param_range": [1, 1]}], "grid": GRID}
-    stream = instances_from_spec(spec)
-    with pytest.raises(BadParam):
-        next(stream)
-    stream = instances_from_spec({"sampler": dict(SAMPLER, n=9), "grid": GRID})
-    with pytest.raises(BadParam):
-        next(stream)
+LADDER = {"name": "ex1", "param_range": [2, 1500]}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"families": [{"name": "ex1", "param_range": [1, 1]}], "grid": GRID},
+         "ex1 needs param >= 2, got 1"),
+        ({"sampler": dict(SAMPLER, n=9), "grid": GRID}, "dimension 9 outside 2..5"),
+        ({"families": [{"name": "ex1", "param_range": [2, 2000]}, {"name": "exx", "param_range": [2, 3]}],
+          "grid": GRID}, "unknown family 'exx'"),
+        ({"families": [LADDER], "sampler": dict(SAMPLER, n=9), "grid": GRID}, "dimension 9 outside 2..5"),
+        ({"families": [LADDER, {"name": "ex4", "param_range": [2, 9]}], "grid": GRID},
+         r"ex4 needs 2 <= param <= 8, got 9"),
+        # an unknown name fails even when its range is empty
+        ({"families": [{"name": "exx", "param_range": [3, 2]}], "grid": GRID}, "unknown family 'exx'"),
+        ({"families": [{"name": ["ex1"], "param_range": [2, 2]}], "grid": GRID}, r"unknown family \['ex1'\]"),
+        ({"sampler": dict(SAMPLER, max_rays=1), "grid": GRID}, "max_rays must be at least the dimension"),
+        ({"sampler": dict(SAMPLER, coord_bound=0), "grid": GRID}, "coord_bound must be positive"),
+    ],
+    ids=["ex1-low", "sampler-n", "unknown-after-ladder", "sampler-after-ladder", "ex4-after-ladder",
+         "unknown-empty-range", "unhashable-name", "sampler-max-rays", "sampler-coord-bound"],
+)
+def test_germ_parameter_errors_come_before_any_germ(monkeypatch, spec, message):
+    built = _counting_germ_builds(monkeypatch)
+    with pytest.raises(BadParam, match=message):
+        instances_from_spec(spec)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+def test_param_range_error_names_the_first_param_the_stream_would_fail_on(name):
+    for lo in range(-1, 11):
+        for hi in range(lo - 1, 12):
+            first_bad = None
+            for p in range(lo, hi + 1):
+                try:
+                    t.family(name, p)
+                except BadParam as exc:
+                    first_bad = str(exc)
+                    break
+            spec = {"families": [{"name": name, "param_range": [lo, hi]}], "grid": GRID}
+            if first_bad is None:
+                assert len(list(instances_from_spec(spec))) == max(0, hi - lo + 1)
+            else:
+                with pytest.raises(BadParam) as info:
+                    instances_from_spec(spec)
+                assert str(info.value) == first_bad
+
+
+def test_empty_sampler_and_empty_ranges_build_nothing_and_check_no_limits():
+    spec = {"families": [{"name": "ex4", "param_range": [12, 9]}],
+            "sampler": dict(SAMPLER, count=0, n=9), "grid": GRID}
+    assert list(instances_from_spec(spec)) == []
 
 
 def test_scan_holds_one_germ_at_a_time():

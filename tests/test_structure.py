@@ -337,3 +337,95 @@ def test_validate_decomposition_rejects_corrupted():
     for message, bad in corrupted.items():
         with pytest.raises(InternalError, match=message):
             _validate_decomposition(g, m, bad)
+
+
+def test_decompose_agrees_with_the_vectors_and_grids_reference(monkeypatch):
+    # the row-based decompose gives the same k0, vectors, coefficients and
+    # total weight as the earlier vectors-and-grids construction, at the
+    # ray sum and at the first mld minimizer of each germ; the corpus
+    # covers a half of a spanning pair recursed into, a full-dimensional
+    # sub-cone step, an extended lattice and a boundary
+    import decompose_reference
+    from conftest import height_cone_germ, sampled_germs
+
+    from toricmld import structure
+
+    germs = []
+    germs += sampled_germs(2, 5, 4, 20, seed0=60_000)
+    germs += sampled_germs(3, 6, 3, 40, seed0=61_000)
+    germs += sampled_germs(4, 6, 2, 15, seed0=62_000)
+    germs += [height_cone_germ(3, s) for s in range(12)]
+    germs += [height_cone_germ(4, s, spread=1) for s in range(6)]
+    for s in range(8):
+        cone = height_cone_germ(3, s).cone
+        for extra in ((F(1, 2), F(1, 2), 0), (F(1, 3), F(2, 3), 0)):
+            germs.append(t.make_germ(cone, None, t.lattice_from_generators(3, [extra])))
+    germs += [t.family("ex4", n) for n in range(2, 6)] + [t.family("ex3", r) for r in range(2, 6)]
+
+    steps = []
+    real_rec, real_tri = structure._decompose_rec, structure.trichotomy
+
+    def rec(cone, m):
+        steps.append(("rec", cone.n))
+        return real_rec(cone, m)
+
+    def tri(cone, m):
+        res = real_tri(cone, m)
+        steps.append((type(res).__name__, cone.n))
+        return res
+
+    monkeypatch.setattr(structure, "_decompose_rec", rec)
+    monkeypatch.setattr(structure, "trichotomy", tri)
+    cases = set()
+    pairs = 0
+    for g in germs:
+        ray_sum = tuple(sum(col) for col in zip(*g.cone.rays))
+        for m in dict.fromkeys([ray_sum, t.mld(g).minimizers[0]]):
+            steps.clear()
+            got = t.decompose(g, m)
+            assert got == decompose_reference.decompose(g, m), (g, m)
+            pairs += 1
+            # only a spanning pair's half is recursed into in a lower dimension
+            if any(kind == "rec" and n < g.dim for kind, n in steps):
+                cases.add("spanning half")
+            if any(kind == "FullDimSubcone" for kind, _ in steps):
+                cases.add("full-dimensional sub-cone")
+            if not g.lattice.is_standard:
+                cases.add("extended lattice")
+            if any(g.boundary):
+                cases.add("boundary")
+    assert pairs >= 200
+    assert cases == {"spanning half", "full-dimensional sub-cone", "extended lattice", "boundary"}
+
+
+def test_echelon_coordinates_keep_the_ray_order():
+    # decompose relies on this: coordinates in an echelon basis with
+    # positive pivots keep the lexicographic order, so a spanning pair's
+    # half rebased to its saturated span, and a germ's cone rebased to N,
+    # list their rays in the order of the rays they come from
+    import random
+
+    from conftest import height_cone_germ, random_unimodular, transform_germ
+
+    from toricmld.linalg import echelon_coords
+
+    rng = random.Random(24)
+    germs = [height_cone_germ(3, s) for s in range(8)] + [height_cone_germ(4, s, spread=1) for s in range(4)]
+    germs += [t.make_germ(g.cone, None, t.lattice_from_generators(3, [(F(1, 2), F(1, 2), 0)])) for g in germs[:8]]
+    germs += [t.family("ex4", n) for n in range(2, 6)]
+    germs += [transform_germ(g, random_unimodular(g.dim, rng)) for g in list(germs) for _ in range(3)]
+    halves = 0
+    for g in germs:
+        rb = g.rebased
+        assert tuple(g.lattice.to_ambient(r) for r in rb.cone.rays) == g.cone.rays
+        points = [tuple(map(sum, zip(*rb.cone.rays)))]
+        points += [tuple(map(sum, zip(r1, r2))) for r1, r2 in itertools.combinations(rb.cone.rays, 2)]
+        for m in points:
+            if t.membership(rb.cone, m) is not t.Membership.RELATIVE_INTERIOR:
+                continue
+            res = t.trichotomy(rb.cone, m)
+            for tau in (res.tau1, res.tau2) if isinstance(res, SpanningPair) else ():
+                coords = tuple(echelon_coords(tau.span, r) for r in tau.rays)
+                assert t.make_cone(len(tau.span), coords).rays == coords
+                halves += 1
+    assert halves >= 50
