@@ -8,22 +8,24 @@ the others one inequality at a time.  Extremality is read off its
 tight-row bitmasks and membership off the facets.  Exactly n
 independent generators skip it: their dual basis is the whole dual
 description.  Relative interiors of ray subsets take one linear solve,
-and the facets only when the rays are dependent.  Cones that do not
-span the ambient space are handled by rebasing to a basis of span
-intersect Z^n and recursing in lower dimension.
+and the facets only when the rays are dependent.  A cone that does not
+span the ambient space keeps its rays in ambient coordinates; its dual
+description is computed in coordinates over the Hermite basis of the
+lattice its generators generate, and its facet normals are lifted back
+into its span.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyInput, NotFullRank, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
+from .errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
 from .linalg import IntVec, dot, mat_mul, mat_vec, primitive, rank, transpose
 
 
@@ -37,17 +39,16 @@ class Membership(Enum):
 class Cone:
     """Strongly convex rational polyhedral cone.
 
-    ``rays`` are the primitive extremal generators, sorted; ``facets``
-    are primitive inward facet normals valid on span(cone).  ``span`` is
-    a saturated lattice basis of span(cone) when the cone is not
-    full-dimensional, else None.
+    ``rays`` are the primitive extremal generators, sorted, and ``dim``
+    is the dimension of their span; ``facets`` are primitive inward
+    facet normals that lie in that span.  A cone of dim < n tests
+    membership in its span by a solve against its rays.
     """
 
     n: int
     rays: tuple[IntVec, ...]
     facets: tuple[IntVec, ...]
     dim: int
-    span: tuple[IntVec, ...] | None = field(default=None)
 
     def __repr__(self):
         return f"Cone(n={self.n}, rays={list(self.rays)})"
@@ -120,13 +121,14 @@ def _double_description(ineqs: Sequence[IntVec], start: Sequence[int]):
     return rays
 
 
-def _lift_normals(inner_facets, span_basis):
-    """Pull facet normals computed in span coordinates back to the ambient
-    space: h = h' . (B B^T)^-1 . B evaluates like h' on span points.  The
-    Gram matrix B B^T is symmetric, so its dual basis is D (B B^T)^-1 and
-    one call serves every normal."""
-    cols = transpose(span_basis)
-    lift = mat_mul(cols, linalg.dual_basis(mat_mul(span_basis, cols))[1])
+def _lift_normals(inner_facets, basis):
+    """Pull facet normals computed in coordinates over the rows B of
+    ``basis`` back to the ambient space: h = h' . (B B^T)^-1 . B lies in
+    the span of B and evaluates like h' on its points.  The Gram matrix
+    B B^T is symmetric, so its dual basis is D (B B^T)^-1 and one call
+    serves every normal."""
+    cols = transpose(basis)
+    lift = mat_mul(cols, linalg.dual_basis(mat_mul(basis, cols))[1])
     return [primitive(mat_vec(lift, h)) for h in inner_facets]
 
 
@@ -150,14 +152,13 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     if len(basis) == len(prims) == n:
         return Cone(n, tuple(prims), tuple(sorted(map(primitive, linalg.dual_basis(prims)[1]))), n)
     if len(basis) < n:
-        sat = linalg.saturation_basis(prims, n)
-        coords = [linalg.echelon_coords(sat, p) for p in prims]
-        if None in coords:
-            raise NotFullRank("generator outside the saturated span")
-        inner = make_cone(len(basis), coords)
-        out_rays = tuple(sorted(tuple(dot(c, col) for col in zip(*sat)) for c in inner.rays))
-        out_facets = tuple(sorted(_lift_normals(inner.facets, sat)))
-        return Cone(n, out_rays, out_facets, inner.dim, span=sat)
+        # every generator has integer coordinates over the Hermite basis
+        # of the lattice the generators generate, and a primitive one has
+        # primitive coordinates, so the inner rays map back to generators
+        lat = linalg.hnf(prims)[:len(basis)]
+        inner = make_cone(len(lat), [linalg.echelon_coords(lat, p) for p in prims])
+        out_rays = tuple(sorted(mat_vec(transpose(lat), c) for c in inner.rays))
+        return Cone(n, out_rays, tuple(sorted(_lift_normals(inner.facets, lat))), inner.dim)
     dual = _double_description(prims, basis)
     if rank([f for f, _ in dual]) < n:
         raise NotStronglyConvex("cone contains a line")
@@ -165,7 +166,7 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     # extremal iff no other generator is tight on all of them
     t = [sum(1 << j for j, (_, z) in enumerate(dual) if z >> k & 1) for k in range(len(prims))]
     extremal = [p for k, p in enumerate(prims) if all(q == k or s & t[k] != t[k] for q, s in enumerate(t))]
-    return Cone(n, tuple(extremal), tuple(sorted(f for f, _ in dual)), n, span=None)
+    return Cone(n, tuple(extremal), tuple(sorted(f for f, _ in dual)), n)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -181,7 +182,7 @@ def membership(c: Cone, v: Sequence) -> Membership:
         raise ValidationError(f"a point of length {len(v)} in dimension {c.n}")
     d = math.lcm(*[x.denominator for x in v])  # v scaled to ints, by d > 0
     v = [x.numerator * (d // x.denominator) for x in v]
-    if c.span is not None and linalg.solve_rational(transpose(c.span), v) is linalg.INCONSISTENT:
+    if c.dim < c.n and linalg.solve_rational(transpose(c.rays), v) is linalg.INCONSISTENT:
         return Membership.OUTSIDE
     vals = [dot(f, v) for f in c.facets]
     if any(x < 0 for x in vals):

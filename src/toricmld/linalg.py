@@ -5,10 +5,10 @@ determinants, linear solves and independent row sets read their answers
 off one fraction-free (Bareiss) elimination over ``int`` rows; a row of
 ``fractions.Fraction`` is first scaled by the lcm of its denominators.
 The row Hermite normal form, in ``int`` arithmetic and without a
-unimodular transform, is the one lattice kernel: Smith invariants,
-saturated spans and lattice bases are read off it, and coordinates in
-an echelon basis (a lattice's Hermite form, a saturated span) come by
-substitution.  Fractions appear only in rational answers and inputs.
+unimodular transform, is the one lattice kernel: Smith invariants and
+lattice bases are read off it, and coordinates in an echelon basis
+(the Hermite form of a lattice) come by substitution.  Fractions appear
+only in rational answers and inputs.
 Nothing here ever touches floating point.
 """
 
@@ -51,11 +51,6 @@ def primitive(v: Sequence[int]) -> IntVec:
     if g == 0:
         raise ZeroVector("the zero vector has no primitive generator")
     return tuple(int(x) // g for x in v)
-
-
-def primitive_direction(v: Sequence) -> IntVec:
-    """Primitive integer vector spanning the same ray as a rational vector."""
-    return primitive(_integer_row([Fraction(x) for x in v])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +321,6 @@ def snf(a) -> tuple[int, ...]:
             g = math.gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
     return tuple(d)
-
-
-def saturation_basis(rows, n: int) -> tuple[IntVec, ...]:
-    """Basis of span_Q(rows) intersected with Z^n, in Hermite normal form.
-
-    Let B be the nonzero Hermite rows of ``rows`` and T those of B^T, a
-    basis of the lattice that B's columns generate.  Then c . B is
-    integral iff c lies in the dual of that lattice, whose basis is the
-    w_i / D of ``dual_basis(T)``, so the rows w_i . B / D span the
-    saturation.
-    """
-    b = _nonzero_hnf(rows)
-    cols = transpose(b)
-    d, ws = dual_basis(_nonzero_hnf(cols))
-    basis = []
-    for w in ws:
-        row = [divmod(dot(w, col), d) for col in cols]
-        if any(rem for _, rem in row):
-            raise InternalError("a dual lattice vector does not give an integral row")
-        basis.append([q for q, _ in row])
-    return hnf(basis)
 
 
 # ---------------------------------------------------------------------------

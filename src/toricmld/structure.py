@@ -11,8 +11,10 @@ Three related constructions:
 * a bounded decomposition k0 * m = v_1 + ... + v_n where each v_i is a
   nonnegative integer combination of the rays and the v_i are linearly
   independent, built by recursing through the trichotomy and merging
-  the two sub-cone solutions along a spanning pair; every level carries
-  one integer coefficient row per vector.
+  the two sub-cone solutions along a spanning pair; each half of a pair
+  is recursed into as it is, a cone in its own span in ambient
+  coordinates, and every level carries one integer coefficient row per
+  vector.
 
 The decomposition accepts any interior lattice point, not only a
 minimizer of the log discrepancy; nothing below uses minimality.
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from . import linalg
 from .cones import (
     Cone,
     Membership,
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .germio import format_q
 from .invariants import ToricGerm, pi1_reg
-from .linalg import det, dot, express_in_basis, mat_vec, rank, solve_rational, transpose
+from .linalg import det, dot, express_in_basis, mat_vec, primitive, rank, solve_rational, transpose
 
 MAX_SUBSET_RAYS = 16
 
@@ -160,6 +161,12 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
     """Classify (cone, interior point) into the three structural cases."""
     if c.dim < c.n:
         raise NotFullDimensional("trichotomy needs a full-dimensional cone")
+    return _trichotomy(c, m)
+
+
+def _trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
+    """The trichotomy of a cone in its own span: full dimension and
+    spanning mean rank c.dim."""
     if membership(c, m) is not Membership.RELATIVE_INTERIOR:
         raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not an interior point")
     if is_simplicial(c):
@@ -167,7 +174,7 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
     first = None
     for idx in _subcone_index_sets(c, m):
         rays = [c.rays[i] for i in idx]
-        if rank(rays) == c.n:
+        if rank(rays) == c.dim:
             return FullDimSubcone(make_cone(c.n, rays))
         if first is None:
             first = rays
@@ -177,9 +184,9 @@ def trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
     while True:
         rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > rank(tau1.rays))
         tau2 = _tau_containing_ray(c, m, rho)
-        if tau2.dim >= c.n:
+        if tau2.dim >= c.dim:
             raise InternalError("a sub-cone through a boundary face is full-dimensional")
-        if rank(tau1.rays + tau2.rays) == c.n:
+        if rank(tau1.rays + tau2.rays) == c.dim:
             return SpanningPair(tau1, tau2)
         tau1 = make_cone(c.n, tau1.rays + tau2.rays)
 
@@ -194,11 +201,11 @@ def _over(rows, sub_rays, rays):
 
 
 def _decompose_rec(cone: Cone, m):
-    """k0 and nonnegative integer rows over cone.rays, one per vector
-    v_i = rows[i] . rays, with k0 * m = sum of the v_i and the v_i
-    independent, for a cone that is full-dimensional in Q^n."""
-    n, k = cone.n, len(cone.rays)
-    tri = trichotomy(cone, m)
+    """k0 and cone.dim nonnegative integer rows over cone.rays, one per
+    vector v_i = rows[i] . rays, with k0 * m = sum of the v_i and the v_i
+    independent, for m in the relative interior of the cone."""
+    n, k = cone.dim, len(cone.rays)
+    tri = _trichotomy(cone, m)
     if isinstance(tri, Simplicial):
         sol = solve_rational(transpose(cone.rays), m)
         if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
@@ -208,21 +215,9 @@ def _decompose_rec(cone: Cone, m):
     if isinstance(tri, FullDimSubcone):
         k0, rows = _decompose_rec(tri.tau, m)
         return k0, _over(rows, tri.tau.rays, cone.rays)
-    halves = []
-    for tau in (tri.tau1, tri.tau2):
-        # the half in coordinates of its saturated span, where it is
-        # full-dimensional; an echelon basis with positive pivots keeps the
-        # lexicographic order, so its rays come in the order of tau.rays
-        coords = []
-        for v in (*tau.rays, m):
-            c = linalg.echelon_coords(tau.span, v)
-            if c is None:
-                raise InternalError(f"{tuple(v)} has no integer coordinates in the saturated span")
-            coords.append(c)
-        *sub_rays, sub_m = coords
-        k0, rows = _decompose_rec(make_cone(len(tau.span), sub_rays), sub_m)
-        halves.append((k0, _over(rows, tau.rays, cone.rays)))
-    (k0a, rows), (k0b, rows_b) = halves
+    k0a, rows = _decompose_rec(tri.tau1, m)
+    k0b, rows_b = _decompose_rec(tri.tau2, m)
+    rows, rows_b = _over(rows, tri.tau1.rays, cone.rays), _over(rows_b, tri.tau2.rays, cone.rays)
     cols = transpose(cone.rays)
     basis = [mat_vec(cols, row) for row in rows]
     unused = [0] * k
@@ -299,20 +294,19 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     raw_coords = []
     prim_coords = []
     k_values = []
-    prim_ambient = []
     for v, row in zip(d.vectors, d.coefficients):
         c = express_in_basis(ob, v)
         if c is None:
             raise InternalError(f"ray combination {tuple(v)} is not in the orbifold lattice")
         raw_coords.append(c)
-        c0 = linalg.primitive(c)
+        c0 = primitive(c)
         prim_coords.append(c0)
-        prim_ambient.append(ob.to_ambient(c0))
         k_values.append(sum(k * (1 - b) for k, b in zip(row, germ.boundary)) / math.gcd(*c))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
     pi1_order = pi1_reg(germ).order
     if coarse < pi1_order:
         raise InternalError(f"coarse order {coarse} is below |pi1_reg| = {pi1_order}")
-    sigma0 = make_cone(n, [linalg.primitive_direction(v) for v in prim_ambient])
+    # den * ambient point of each c0, which make_cone takes to its primitive direction
+    sigma0 = make_cone(n, [mat_vec(transpose(ob.num), c0) for c0 in prim_coords])
     return BlowupReport(sigma0, tuple(k_values), group, coarse, pi1_order)

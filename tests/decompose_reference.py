@@ -5,10 +5,11 @@ row-based ``toricmld.structure.decompose`` is checked against.
 construction, kept unchanged: each recursion level carries its vectors
 in its own coordinates together with one dict per vector, keyed by ray
 vectors, of the ray coefficients; a half of a spanning pair is rebased
-to its saturated span and mapped back up by an ``up`` closure, and the
-top level maps the rays back to ambient coordinates and then to column
-indices.  It calls the package's ``trichotomy`` and
-``_validate_decomposition``.  Nothing in ``src/`` imports this module.
+to its saturated span, the basis ``nf_reference.saturation_basis``
+gives, and mapped back up by an ``up`` closure, and the top level maps
+the rays back to ambient coordinates and then to column indices.  It
+calls the package's ``trichotomy`` and ``_validate_decomposition``.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import nf_reference
 from toricmld import linalg
 from toricmld.cones import Cone, Membership, make_cone, membership
 from toricmld.errors import InternalError, NotInteriorPoint
@@ -46,7 +48,7 @@ def _simplicial_decomposition(cone: Cone, m):
 
 
 def _rebase_to_span(tau: Cone, m):
-    sat = tau.span
+    sat = nf_reference.saturation_basis(tau.rays, tau.n)
     cols = list(zip(*sat))
 
     def down(v):

@@ -5,7 +5,8 @@ These are the package's earlier ``rank``, ``det``, ``solve_rational``,
 ``express_in_basis`` (through ``coords_in_basis``), the double
 description that starts from an identity lineality space and the
 rank-per-generator extremality test, kept so the tests can compare the
-integer paths with them.  Nothing in ``src/``
+integer paths with them, and the ``primitive_direction`` of a rational
+vector that the double description here uses.  Nothing in ``src/``
 imports this module, and its checks raise rather than assert, so they
 hold under ``python -O`` too.
 """
@@ -13,6 +14,7 @@ hold under ``python -O`` too.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,9 +27,15 @@ from toricmld.linalg import (
     RatVec,
     dot,
     primitive,
-    primitive_direction,
     transpose,
 )
+
+
+def primitive_direction(v: Sequence) -> IntVec:
+    """Primitive integer vector spanning the same ray as a rational vector."""
+    fracs = [Fraction(x) for x in v]
+    d = math.lcm(*[x.denominator for x in fracs])
+    return primitive([(x * d).numerator for x in fracs])
 
 
 def rank(a) -> int:

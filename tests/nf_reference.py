@@ -2,10 +2,12 @@
 references the transform-free kernel in ``toricmld.linalg`` is checked
 against.
 
-These are the package's earlier ``hnf`` (H with U . a = H), ``snf``
-(S = U . A . V, through ``SNFResult`` and ``_snf_clear_at``) and the
-Smith-based ``saturation_basis``, kept unchanged so the tests can
-compare the package with them and check the transforms themselves.
+These are the package's earlier ``hnf`` (H with U . a = H) and ``snf``
+(S = U . A . V, through ``SNFResult`` and ``_snf_clear_at``), kept
+unchanged so the tests can compare the package with them and check the
+transforms themselves, and the Smith-based ``saturation_basis``, a
+basis of span intersect Z^n that the package no longer needs: the tests
+use it to rebase lower-dimensional cones.
 Nothing in ``src/`` imports this module, and its checks raise rather
 than assert, so they hold under ``python -O`` too.
 """

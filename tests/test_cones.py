@@ -1,14 +1,20 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import toricmld as t
 from toricmld import cones
 from toricmld.cones import in_relint
 from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
-from toricmld.linalg import INCONSISTENT, UNDERDETERMINED, dot, primitive, rank, solve_rational, transpose
+from toricmld.linalg import INCONSISTENT, UNDERDETERMINED, dot, identity, primitive, rank, solve_rational, transpose
 
+import elim_reference as elim_ref
+import nf_reference as nf_ref
 from elim_reference import extremal_by_rank
 from lp_reference import extremal_generators, in_cone
 from lp_reference import in_relint as lp_in_relint
@@ -375,3 +381,69 @@ def test_in_relint_requires_a_strongly_convex_cone():
     assert in_relint([(1, 0, 0), (-1, 0, 0)], (0, 1, 0)) is False
     with pytest.raises(ZeroVector):
         in_relint([(1, 0, 0), (0, 0, 0)], (0, 1, 0))
+
+
+def test_lower_dimensional_cones_match_the_lp_and_elimination_references():
+    """Rank-deficient generator sets in dims 2-6, among them sets whose
+    lattice has index > 1 in its saturation, as (1, 1, 0), (1, -1, 0) does:
+    make_cone's rays and dim agree with the LP and elimination references,
+    each facet lies in the span and agrees on it with one extreme ray of
+    the reference dual, and membership agrees with the LPs at points in
+    the relative interior, on the boundary, outside in the span, outside
+    the span and at non-lattice points of the saturation."""
+    seen = Counter()
+    kinds = {
+        (True, True): "relative interior", (True, False): "boundary",
+        (False, False): "outside in the span", (False, None): "outside the span",
+    }
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.data())
+    def check(n, data):
+        ints = st.integers(-2, 2)
+        r = data.draw(st.integers(1, n - 1))
+        basis = [[data.draw(ints) for _ in range(n)] for _ in range(r)]
+        gens = []
+        for _ in range(data.draw(st.integers(1, r + 2))):
+            coeffs = [data.draw(st.integers(-1, 2)) for _ in range(r)]
+            gens.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+        gens = [g for g in gens if any(g)]
+        assume(gens)
+        prims = sorted({primitive(g) for g in gens})
+        dim = elim_ref.rank(prims)
+        if any(in_cone(prims, [-x for x in p]) for p in prims):
+            with pytest.raises(NotStronglyConvex):
+                t.make_cone(n, gens)
+            seen["line"] += 1
+            return
+        cone = t.make_cone(n, gens)
+        assert cone.dim == dim and cone.rays == extremal_generators(gens)
+        if math.prod(nf_ref.snf(prims).invariant_factors) > 1:
+            seen["index > 1"] += 1
+        dual, _ = elim_ref.double_description(n, prims)
+        tight = {frozenset(i for i, ray in enumerate(cone.rays) if dot(y, ray) == 0): y for y in dual}
+        assert len(cone.facets) == len(tight)
+        for f in cone.facets:
+            assert primitive(f) == f and elim_ref.rank(prims + [f]) == dim
+            y = tight[frozenset(i for i, ray in enumerate(cone.rays) if dot(f, ray) == 0)]
+            # f and y are positive multiples of one functional on the span
+            fv, yv = [dot(f, p) for p in prims], [dot(y, p) for p in prims]
+            assert all(a >= 0 for a in fv) and sum(fv) > 0 and sum(yv) > 0
+            assert all(a * sum(yv) == b * sum(fv) for a, b in zip(fv, yv))
+        total = tuple(map(sum, zip(*cone.rays)))
+        points = [total, cone.rays[0], tuple(-x for x in total), tuple(Fraction(x, 2) for x in total)]
+        points += [tuple(Fraction(x, 3) for x in cone.rays[-1]), tuple(0 for _ in range(n))]
+        points += nf_ref.saturation_basis(prims, n)
+        points += [e for e in identity(n) if elim_ref.rank(prims + [e]) > dim][:1]
+        points.append(tuple(data.draw(ints) for _ in range(n)))
+        for v in points:
+            got = t.membership(cone, v)
+            inside, interior = in_cone(cone.rays, v), lp_in_relint(cone.rays, v)
+            assert (got is not t.Membership.OUTSIDE, got is t.Membership.RELATIVE_INTERIOR) == (inside, interior)
+            in_span = elim_ref.rank(prims + [v]) == dim
+            seen[kinds[inside, interior if in_span else None]] += 1
+        seen[f"dim {n}"] += 1
+
+    check()
+    wanted = ["line", "index > 1", *kinds.values()] + [f"dim {n}" for n in range(2, 7)]
+    assert all(seen[kind] for kind in wanted), seen

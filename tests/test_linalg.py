@@ -180,9 +180,3 @@ def test_express_recovers_generators():
         for e in identity(n):
             assert express_in_basis(basis, e) is not None
 
-
-def test_saturation_basis():
-    sat = linalg.saturation_basis([(0, 2, 0), (2, 0, 0)], 3)
-    assert sat == ((1, 0, 0), (0, 1, 0))
-    sat = linalg.saturation_basis([(1, 1, 2)], 3)
-    assert len(sat) == 1 and primitive(sat[0]) == sat[0]

@@ -1,6 +1,6 @@
 """The transform-free Hermite kernel in ``toricmld.linalg`` and the Smith
-invariants and saturations read off it, checked against the normal forms
-with unimodular transforms that they replaced (``nf_reference``)."""
+invariants read off it, checked against the normal forms with unimodular
+transforms that they replaced (``nf_reference``)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +55,6 @@ def test_hermite_smith_and_saturation_match_the_reference(monkeypatch):
         calls[0] = 0
         assert linalg.snf(a) == ref.snf(a).invariant_factors
         passes.append(calls[0])
-        assert linalg.saturation_basis(a, n) == ref.saturation_basis(a, n)
         r = rank(a) if m and n else 0
         kinds.add("full rank" if r == min(m, n) else "rank deficient")
         if m != n:

@@ -1,8 +1,9 @@
 """Source rules for the package: internal checks are not ``assert``s,
 which ``python -O`` strips, the package imports only the standard
 library and itself, its arithmetic is exact: no float literal and no
-use of the name ``float``, ``oracle.py`` included, and its one
-process-wide cache is the command-line parser."""
+use of the name ``float``, ``oracle.py`` included, its one process-wide
+cache is the command-line parser, and it defines no module-level
+function or class that nothing else in it uses or exports."""
 
 import ast
 import sys
@@ -196,4 +197,67 @@ def test_cache_rule_catches_a_violation(tmp_path):
         "lab.py:3: functools.cache",
         "lab.py:5: functools.lru_cache",
         "lab.py:7: functools.cache",
+    ]
+
+
+def _unreferenced(paths) -> list[str]:
+    """Module-level functions and classes that no other top-level
+    statement of the modules names, as a variable or an attribute, and
+    that ``__all__`` does not list.  Names are matched by name alone, so
+    an attribute of the same name elsewhere counts as a use; an import
+    does not, and neither does a use inside the definition itself."""
+    defs, used = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            is_all = isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+            if is_all:
+                names |= {elt.value for elt in stmt.value.elts}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((f"{path.name}:{stmt.lineno}: {stmt.name}", stmt.name, len(used)))
+            used.append(names)
+    return [
+        label for label, name, own in defs
+        if not any(name in names for i, names in enumerate(used) if i != own)
+    ]
+
+
+def test_every_definition_is_used_or_exported():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "__init__.py" in {path.name for path in modules}
+    assert _unreferenced(modules) == []
+
+
+def test_unreferenced_rule_catches_a_violation(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .lin import Basis, helper, orphan\n"
+        "__all__ = ['Basis']\n"
+    )
+    (tmp_path / "lin.py").write_text(
+        "class Basis:\n"
+        "    pass\n"
+        "def helper(v):\n"
+        "    return v\n"
+        "def orphan(v):\n"
+        "    return orphan(v - 1) if v else 0\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    (tmp_path / "use.py").write_text(
+        "from . import lin\n"
+        "def run(x):\n"
+        "    return lin.helper(x) + x.run\n"
+    )
+    # helper is used through an attribute; orphan and run only by
+    # themselves, and orphan's import does not count
+    assert _unreferenced(sorted(tmp_path.glob("*.py"))) == [
+        "lin.py:5: orphan",
+        "lin.py:7: _private",
+        "use.py:2: run",
     ]
