@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import lab, oracle, structure
 from .errors import ParseError, ToricError, ValidationError
-from .germio import coord_out, format_q, germ_doc, parse_germ
+from .germio import coord_out, format_q, germ_doc, parse_germ, parse_rational
 from .invariants import count_window, mld, pi1_reg
 
 
@@ -32,22 +32,15 @@ def _load_germ(path: str):
     return parse_germ(_read_text(path))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{text!r} is not a rational 'p/q'") from exc
-
-
 def _parse_window(args) -> tuple[Fraction, Fraction]:
-    low, high = _parse_fraction(args.low), _parse_fraction(args.high)
+    low, high = parse_rational(args.low), parse_rational(args.high)
     if not (0 < low <= high):
         raise ParseError("window must satisfy 0 < low <= high")
     return low, high
 
 
 def _parse_point(text: str, dim: int):
-    point = tuple(_parse_fraction(part.strip()) for part in text.split(","))
+    point = tuple(parse_rational(part.strip()) for part in text.split(","))
     if len(point) != dim:
         raise ValidationError(f"--point has {len(point)} coordinates; the germ has dimension {dim}")
     return point
@@ -104,7 +97,7 @@ def _emit(doc: dict, args) -> None:
 
 def _cmd_mld(args) -> dict:
     germ = _load_germ(args.germ)
-    bound = _parse_fraction(args.bound) if args.bound else None
+    bound = parse_rational(args.bound) if args.bound else None
     r = mld(germ, bound=bound)
     return {"mld": format_q(r.value), "minimizers": [_point_out(p) for p in r.minimizers]}
 
@@ -122,7 +115,7 @@ def _cmd_oracle_mld(args) -> dict:
             "count": len(pts),
             "points": [[_point_out(p), format_q(v)] for p, v in pts],
         }
-    bound = _parse_fraction(args.bound) if args.bound else None
+    bound = parse_rational(args.bound) if args.bound else None
     value, mins = oracle.oracle_mld(germ, bound=bound)
     return {"mld": format_q(value), "minimizers": [_point_out(p) for p in mins]}
 
@@ -150,7 +143,7 @@ def _cmd_window(args) -> dict:
 def _cmd_check(args) -> dict:
     germ = _load_germ(args.germ)
     inst = lab.ConjectureInstance(
-        germ, _parse_fraction(args.epsilon), _parse_fraction(args.delta)
+        germ, parse_rational(args.epsilon), parse_rational(args.delta)
     )
     r = lab.check_instance(inst)
     doc = {"classification": r.classification.value}

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
@@ -35,8 +34,7 @@ class Membership(Enum):
     RELATIVE_INTERIOR = "RelativeInterior"
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Strongly convex rational polyhedral cone.
 
     ``rays`` are the primitive extremal generators, sorted, and ``dim``
@@ -54,8 +52,7 @@ class Cone:
         return f"Cone(n={self.n}, rays={list(self.rays)})"
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """Face of a cone, recorded by the indices of the parent rays it contains."""
 
     parent: Cone

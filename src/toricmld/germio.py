@@ -31,11 +31,19 @@ def parse_q(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: {value!r} is not a rational 'p/q'") from exc
+        return parse_rational(value, f"{where}: ")
     raise ParseError(f"{where}: expected a rational string, got {type(value).__name__}")
+
+
+def parse_rational(text: str, where: str = "") -> Fraction:
+    """The rational a string "p/q", integer or decimal names.  Any other string raises
+    ParseError, an exponent too: Fraction("1e-3000000") would have millions of digits."""
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"{where}{text!r} is not a rational 'p/q'")
 
 
 def parse_int(value, where: str) -> int:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import cones, linalg
 from .cones import Cone, Membership, make_cone
@@ -49,14 +48,24 @@ from .linalg import (
 Point = tuple  # lattice point in ambient coordinates (ints or Fractions)
 
 
-@dataclass(frozen=True)
 class ToricGerm:
-    """Toric singularity germ (cone, boundary, ambient lattice).  Its derived
-    data is built on first use, kept on the germ and freed with it."""
+    """Toric singularity germ (cone, boundary, ambient lattice), with read-only
+    fields.  Its derived data is built on first use, kept on the germ and freed with it."""
 
-    cone: Cone
-    boundary: tuple[Fraction, ...]
-    lattice: LatticeBasis
+    def __init__(self, cone: Cone, boundary: tuple[Fraction, ...], lattice: LatticeBasis):
+        self.__dict__.update(cone=cone, boundary=boundary, lattice=lattice, _key=(cone, boundary, lattice))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a ToricGerm")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "ToricGerm(cone={!r}, boundary={!r}, lattice={!r})".format(*self._key)
 
     @property
     def dim(self) -> int:
@@ -134,8 +143,7 @@ def multiplicity(coeff) -> int:
     return c.denominator // (c.denominator - c.numerator)
 
 
-@dataclass(frozen=True)
-class Rebased:
+class Rebased(NamedTuple):
     """A germ's cone in integer coordinates with respect to the basis of N,
     and its log discrepancy functional L as integer numerators over
     ``den``: L(c) = dot(l_num, c) / den for rebased coordinates c.
@@ -250,23 +258,20 @@ def _lift_columns(values, coords, ells, rays, top: int):
 # the invariants
 
 
-@dataclass(frozen=True)
-class MldResult:
+class MldResult(NamedTuple):
     value: Fraction
     minimizers: tuple[Point, ...]
     search_bound: Fraction
 
 
-@dataclass(frozen=True)
-class WindowCount:
+class WindowCount(NamedTuple):
     low: Fraction
     high: Fraction
     points: tuple[tuple[Point, Fraction], ...]
     count: int
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple):
     """Invariant factor presentation d1 | d2 | ... with all d > 1."""
 
     invariant_factors: tuple[int, ...]

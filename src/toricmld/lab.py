@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .cones import make_cone
 from .errors import (
@@ -43,14 +42,16 @@ SCOPE_NOTE = "window counts cover toric divisorial valuations only"
 _COEFF_CHOICES = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
 
-@dataclass(frozen=True)
-class ConjectureInstance:
+class _InstanceFields(NamedTuple):
     germ: ToricGerm
     epsilon: Fraction
     delta: Fraction
 
-    def __post_init__(self):
-        _check_thresholds(self.epsilon, self.delta)
+
+class ConjectureInstance(_InstanceFields):  # a NamedTuple's own body may not define __new__
+    def __new__(cls, germ: ToricGerm, epsilon: Fraction, delta: Fraction):
+        _check_thresholds(epsilon, delta)
+        return super().__new__(cls, germ, epsilon, delta)
 
 
 def _check_thresholds(epsilon: Fraction, delta: Fraction):
@@ -66,8 +67,7 @@ class Classification(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+class InstanceResult(NamedTuple):
     mld_value: Fraction | None
     hypothesis_mld_ok: bool
     window_count: int | None
@@ -191,21 +191,22 @@ def sample_random(n: int, max_rays: int, coord_bound: int, seed: int) -> ToricGe
 # scanning
 
 
-@dataclass
 class _Cell:
-    instances: int
-    max_pi1: int
-    witness: dict
-    witness_key: str
+    def __init__(self, instances: int, max_pi1: int, witness: dict, witness_key: str):
+        self.instances, self.max_pi1, self.witness, self.witness_key = instances, max_pi1, witness, witness_key
+
+    def __eq__(self, other):  # a class with __eq__ and no __hash__ is unhashable
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
-@dataclass
 class ScanReport:
-    """Per-cell maxima of the group order over satisfying instances."""
+    """Per-cell maxima of the group order over satisfying instances: the
+    scan's accumulator, which it folds into in place."""
 
-    cells: dict
-    degenerate: int = 0
-    violates_mld: int = 0
+    def __init__(self, cells: dict, degenerate: int = 0, violates_mld: int = 0):
+        self.cells, self.degenerate, self.violates_mld = cells, degenerate, violates_mld
+
+    __eq__ = _Cell.__eq__
 
     def to_doc(self) -> dict:
         rows = []

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError, NotFullRank, ValidationError, ZeroVector
 
@@ -327,8 +326,13 @@ def snf(a) -> tuple[int, ...]:
 # lattices
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class _LatticeFields(NamedTuple):
+    dim: int
+    num: tuple[IntVec, ...]
+    den: int
+
+
+class LatticeBasis(_LatticeFields):  # no __slots__: the cached properties need a __dict__
     """Full-rank lattice in Q^dim, stored over one common denominator.
 
     ``num`` holds den * basis rows in Hermite normal form, so equal
@@ -336,10 +340,6 @@ class LatticeBasis:
     full rank, hence upper triangular with its positive pivots on the
     diagonal; ``express_in_basis`` relies on that.
     """
-
-    dim: int
-    num: tuple[IntVec, ...]
-    den: int
 
     @classmethod
     def standard(cls, dim: int) -> "LatticeBasis":

@@ -23,9 +23,8 @@ minimizer of the log discrepancy; nothing below uses minimality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .cones import (
     Cone,
@@ -50,18 +49,16 @@ from .linalg import det, dot, express_in_basis, mat_vec, primitive, rank, solve_
 MAX_SUBSET_RAYS = 16
 
 
-@dataclass(frozen=True)
-class Simplicial:
-    pass
+class Simplicial(NamedTuple):
+    def __bool__(self):  # an empty tuple would be falsy
+        return True
 
 
-@dataclass(frozen=True)
-class FullDimSubcone:
+class FullDimSubcone(NamedTuple):
     tau: Cone
 
 
-@dataclass(frozen=True)
-class SpanningPair:
+class SpanningPair(NamedTuple):
     tau1: Cone
     tau2: Cone
 
@@ -69,8 +66,7 @@ class SpanningPair:
 TrichotomyResult = Union[Simplicial, FullDimSubcone, SpanningPair]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """k0 * m = sum of the vectors; vectors[i] = sum over rays of
     coefficients[i][ray] * ray with nonnegative integer coefficients."""
 
@@ -80,8 +76,7 @@ class Decomposition:
     total_weight: int
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(NamedTuple):
     """Data of the simplicial sub-cone spanned by a decomposition, with
     the order of the regional fundamental group it was checked against."""
 

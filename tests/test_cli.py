@@ -419,3 +419,44 @@ def test_cli_as_a_process(monkeypatch):
         assert process(*argv, stdin=germ) == expected
         codes.append(expected[0])
     assert codes == [0, 0, 2, 1]
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    """``tests/startup_guard.py`` in a fresh ``python -I -S``: after
+    ``mld -``, neither ``dataclasses`` nor ``inspect`` is imported and
+    every exported name resolves."""
+    guard = Path(__file__).with_name("startup_guard.py")
+    done = subprocess.run([sys.executable, "-I", "-S", str(guard)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+_PLANE = {"dim": 2, "rays": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("mld", "-"), dict(_PLANE, boundary=["1e-3000000", "0"])),
+        (("mld", "-"), dict(_PLANE, lattice_extra=[["1/2", "1E+300000"]])),
+        (("scan", "--spec", "-"), {"grid": [{"epsilon": "1e-300000", "delta": "1/2"}]}),
+        (("scan", "--spec", "-"), {"grid": [{"epsilon": "1/2", "delta": "5e-1"}]}),
+        (("window", "-", "--low", "1e-300000", "--high", "1"), _PLANE),
+        (("window", "-", "--low", "1", "--high", "1e300000"), _PLANE),
+        (("mld", "-", "--bound", "1e-3000000"), _PLANE),
+        (("oracle-mld", "-", "--bound", "2E1"), _PLANE),
+        (("check", "-", "--epsilon", "1e-300000", "--delta", "1/2"), _PLANE),
+        (("check", "-", "--epsilon", "1/2", "--delta", "0.5e0"), _PLANE),
+        (("trichotomy", "-", "--point", "1,1e300000"), _PLANE),
+        (("decompose", "-", "--point", "1e-3000000,1"), _PLANE),
+    ],
+)
+def test_rationals_in_exponent_notation_are_parse_errors(monkeypatch, argv, stdin):
+    """Fraction expands an exponent, so a short string would become a huge
+    number past the limit on parsed integers; each entry point of a
+    rational, the germ document, the scan grid and every rational flag,
+    rejects it at once."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+    start = time.monotonic()
+    code, out, err = run(*argv)
+    assert time.monotonic() - start < 2
+    assert (code, out) == (1, "") and err.startswith("error: ParseError: ")
