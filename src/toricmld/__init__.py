@@ -58,7 +58,6 @@ from .structure import (
     SpanningPair,
     blowup_report,
     decompose,
-    subcones_containing,
     trichotomy,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "log_discrepancy_at",
     "oracle_mld",
     "oracle_window",
-    "subcones_containing",
     "trichotomy",
     "decompose",
     "blowup_report",

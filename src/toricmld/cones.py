@@ -198,7 +198,8 @@ def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
     build the cone and ask the facets.
 
     A zero ray raises ZeroVector.  The rays must span a strongly convex
-    cone, as any subset of a strongly convex cone's rays does; rays that
+    cone, as the subsets of a cone's rays that the full-rank test of the
+    trichotomy's subset search passes do; rays that
     contain a line raise NotStronglyConvex, but only when v lies in their
     span (otherwise the answer is False without building the cone).
     """

@@ -9,10 +9,6 @@ class ZeroVector(ToricError):
     """A nonzero vector was required."""
 
 
-class NotFullRank(ToricError):
-    """Generators do not span the required space."""
-
-
 class EmptyInput(ToricError):
     """At least one generator is required."""
 
@@ -39,10 +35,6 @@ class NotQCartier(ToricError):
 
 class CoefficientOutOfRange(ToricError):
     """Boundary coefficients must lie in [0, 1)."""
-
-
-class TooManyRays(ToricError):
-    """Subset enumeration is capped to keep runtimes sane."""
 
 
 class DependentVectors(ToricError):

@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import InternalError, NotFullRank, ValidationError, ZeroVector
+from .errors import InternalError, ValidationError, ZeroVector
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -372,13 +372,11 @@ def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
     fracs = [[Fraction(x) for x in g] for g in gens]
     for g in fracs:
         if len(g) != dim:
-            raise NotFullRank(f"generator of length {len(g)} in dimension {dim}")
+            raise ValidationError(f"a generator of length {len(g)} in dimension {dim}")
     d = math.lcm(*[f.denominator for g in fracs for f in g])
     rows = [tuple(int(f * d) for f in g) for g in fracs]
     rows += [tuple(d * x for x in e) for e in identity(dim)]
-    basis = _nonzero_hnf(rows)
-    if len(basis) != dim:
-        raise NotFullRank("generators plus the standard basis do not span")
+    basis = _nonzero_hnf(rows)  # dim rows: the standard basis is among the generators
     g = math.gcd(d, *(x for row in basis for x in row))
     num = tuple(tuple(x // g for x in row) for row in basis)
     return LatticeBasis(dim, num, d // g)

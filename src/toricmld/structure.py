@@ -2,8 +2,10 @@
 
 Three related constructions:
 
-* enumerate the sub-cones spanned by proper subsets of the rays that
-  keep a given interior point in their relative interior;
+* find the first proper ray subset, in lexicographic order, whose cone
+  keeps a given interior point in its relative interior, of full rank
+  or of any rank: a depth-first search prunes a subtree on one test, so
+  it tests O(k^2) subsets of k rays, and no ray count is refused;
 * the trichotomy: a full-dimensional cone is simplicial, or one of
   those sub-cones is full-dimensional, or two of them together span the
   ambient space (found by descending from the point along a ray to the
@@ -26,6 +28,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
+from . import linalg
 from .cones import (
     Cone,
     Membership,
@@ -35,18 +38,10 @@ from .cones import (
     membership,
     minimal_face_containing,
 )
-from .errors import (
-    DependentVectors,
-    InternalError,
-    NotFullDimensional,
-    NotInteriorPoint,
-    TooManyRays,
-)
+from .errors import DependentVectors, InternalError, NotFullDimensional, NotInteriorPoint
 from .germio import format_q
 from .invariants import ToricGerm, pi1_reg
 from .linalg import det, dot, express_in_basis, mat_vec, primitive, rank, solve_rational, transpose
-
-MAX_SUBSET_RAYS = 16
 
 
 class Simplicial(NamedTuple):
@@ -90,41 +85,57 @@ class BlowupReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _proper_subsets(k: int):
-    """Nonempty proper subsets of range(k) as index tuples, lazily and in
-    lexicographic order: (0,), (0, 1), (0, 1, 2), ..., (0, 2), ..."""
+def _subtree_hits(c: Cone, m, full: bool, p, u) -> bool:
+    """Does some S with p <= S <= u (index tuples into c.rays) have m in
+    the relative interior of cone(S), with rank S = c.dim when full?
 
-    def walk(prefix, start):
-        for i in range(start, k):
-            idx = prefix + (i,)
-            if len(idx) < k:
-                yield idx
-            yield from walk(idx, i + 1)
+    Full: iff rank u = c.dim and m is in relint cone(u), as relative
+    interiors grow with the cone in a fixed span.  Any rank: iff m is in
+    cone(u) and p lies in the minimal face of cone(u) containing m, since
+    a face that contains a positive combination contains every term of
+    it; S is then the rays of that face.  Only a dependent u builds its
+    cone."""
+    rays = [c.rays[i] for i in u]
+    if full:
+        return len(u) >= c.dim and rank(rays) == c.dim and in_relint(rays, m)
+    sol = solve_rational(transpose(rays), m)
+    if sol is linalg.INCONSISTENT:
+        return False
+    if sol is not linalg.UNDERDETERMINED:
+        return all(x >= 0 for x in sol) and all(x > 0 for x in sol[: len(p)])
+    # u lists p first, and its rays are the extremal rays of their cone
+    facets = make_cone(c.n, rays).facets
+    if any(dot(f, m) < 0 for f in facets):
+        return False
+    return all(dot(f, r) == 0 for f in facets if dot(f, m) == 0 for r in rays[: len(p)])
 
-    return walk((), 0)
 
-
-def _subcone_index_sets(c: Cone, m):
-    """Index sets of proper ray subsets whose cone keeps m in its relative
-    interior, lazily and in lexicographic order.  The ray count is checked
-    before any subset is tested."""
+def _first_subset(c: Cone, m, full: bool):
+    """The first proper ray subset, as an index tuple, in lexicographic
+    order ((0,), (0, 1), (0, 1, 2), ..., (0, 2), ...) whose cone has m in
+    its relative interior, and rank c.dim when full; None if there is
+    none.  Depth first: the subtree of a prefix p holds the sets between
+    p and u, p plus every later ray, and is skipped when one test of
+    (p, u) fails.  A passing subtree holds a hit, so the search never
+    backtracks out of it, and at most k children are tested per level:
+    O(k^2) tests for k rays.  Only on the leftmost chain is u every ray,
+    which is not proper, so the search descends there untested."""
     k = len(c.rays)
-    if k > MAX_SUBSET_RAYS:
-        raise TooManyRays(f"{k} rays; subset enumeration is capped at {MAX_SUBSET_RAYS}")
-    return (idx for idx in _proper_subsets(k) if in_relint([c.rays[i] for i in idx], m))
 
+    def search(prefix, start):
+        for i in range(start, k):
+            p = prefix + (i,)
+            u = p + tuple(range(i + 1, k))
+            if len(u) < k and not _subtree_hits(c, m, full, p, u):
+                continue
+            if len(p) < k and (p == u or _subtree_hits(c, m, full, p, p)):
+                return p
+            found = search(p, i + 1)
+            if found is not None:
+                return found
+        return None
 
-def subcones_containing(c: Cone, m: Sequence[int]) -> list[Cone]:
-    """All cones spanned by proper ray subsets with m in their relative
-    interior, each with its canonical ray set.  Each is listed and built,
-    so the cost is exponential in the ray count: the cone over (i, i^2, 1),
-    0 <= i < 16, has 60,158 around its ray sum."""
-    if membership(c, m) is not Membership.RELATIVE_INTERIOR:
-        raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not in the relative interior")
-    return [
-        make_cone(c.n, [c.rays[i] for i in idx])
-        for idx in _subcone_index_sets(c, m)
-    ]
+    return search((), 0)
 
 
 def _tau_containing_ray(c: Cone, m, rho) -> Cone:
@@ -145,7 +156,7 @@ def _tau_containing_ray(c: Cone, m, rho) -> Cone:
     if is_simplicial(face_cone):
         chosen = face_cone.rays
     else:
-        idx = next(_subcone_index_sets(face_cone, m2), None)
+        idx = _first_subset(face_cone, m2, False)
         if idx is None:
             raise InternalError("a non-simplicial face has no sub-cone through the descent point")
         chosen = tuple(face_cone.rays[i] for i in idx)
@@ -166,16 +177,13 @@ def _trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
         raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not an interior point")
     if is_simplicial(c):
         return Simplicial()
-    first = None
-    for idx in _subcone_index_sets(c, m):
-        rays = [c.rays[i] for i in idx]
-        if rank(rays) == c.dim:
-            return FullDimSubcone(make_cone(c.n, rays))
-        if first is None:
-            first = rays
-    if first is None:
+    idx = _first_subset(c, m, True)
+    if idx is not None:
+        return FullDimSubcone(make_cone(c.n, [c.rays[i] for i in idx]))
+    idx = _first_subset(c, m, False)
+    if idx is None:
         raise InternalError("a non-simplicial cone always admits such a sub-cone")
-    tau1 = make_cone(c.n, first)
+    tau1 = make_cone(c.n, [c.rays[i] for i in idx])
     while True:
         rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > rank(tau1.rays))
         tau2 = _tau_containing_ray(c, m, rho)

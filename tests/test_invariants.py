@@ -8,6 +8,7 @@ from toricmld.errors import (
     BoundBelowMinimum,
     CoefficientOutOfRange,
     InternalError,
+    InvalidWindow,
     NotFullDimensional,
     NotInteriorPoint,
     NotQCartier,
@@ -131,6 +132,12 @@ def test_count_window_validation():
     for low, high in ((0, 1), (2, 1), (-1, 1)):
         with pytest.raises(ToricError, match=r"^window must satisfy 0 < low <= high$"):
             t.count_window(germ2(3), low, high)
+
+
+def test_invalid_window_is_a_toric_error_and_a_value_error():
+    assert issubclass(InvalidWindow, ToricError) and issubclass(InvalidWindow, ValueError)
+    with pytest.raises(InvalidWindow):
+        t.count_window(germ2(3), F(1, 2), F(1, 3))
 
 
 def test_pi1_examples():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nf_reference as ref
 from toricmld import linalg
-from toricmld.errors import ZeroVector
+from toricmld.errors import ValidationError, ZeroVector
 from toricmld.linalg import (
     INCONSISTENT,
     UNDERDETERMINED,
@@ -156,6 +156,9 @@ def test_lattice_from_generators_examples():
     assert half.rows == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1)))
     ex4 = lattice_from_generators(3, [(Fraction(1, 3),) * 3])
     assert ex4.covolume() == Fraction(1, 3)  # index 3 over Z^3
+    # a generator of the wrong length is a ValidationError, as in make_cone
+    with pytest.raises(ValidationError, match="a generator of length 2 in dimension 3"):
+        lattice_from_generators(3, [(Fraction(1, 2), 0)])
 
 
 def test_express_in_basis_examples():

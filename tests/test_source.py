@@ -2,8 +2,9 @@
 which ``python -O`` strips, the package imports only the standard
 library and itself, its arithmetic is exact: no float literal and no
 use of the name ``float``, ``oracle.py`` included, its one process-wide
-cache is the command-line parser, and it defines no module-level
-function or class that nothing else in it uses or exports."""
+cache is the command-line parser, it defines no module-level
+function or class that nothing else in it uses or exports, and every
+error class but the base ``ToricError`` is raised somewhere."""
 
 import ast
 import sys
@@ -261,3 +262,48 @@ def test_unreferenced_rule_catches_a_violation(tmp_path):
         "lin.py:7: _private",
         "use.py:2: run",
     ]
+
+
+def _unraised_errors(paths) -> list[str]:
+    """Classes defined in ``errors.py``, other than ``ToricError``, that
+    no ``raise`` statement of the modules names."""
+    defined, raised = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "errors.py":
+            defined += [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return [name for name in defined if name != "ToricError" and name not in raised]
+
+
+def test_every_error_class_is_raised():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "errors.py" in {path.name for path in modules}
+    assert _unraised_errors(modules) == []
+
+
+def test_unraised_error_rule_catches_a_violation(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class ToricError(Exception):\n"
+        "    pass\n"
+        "class Used(ToricError):\n"
+        "    pass\n"
+        "class Bare(ToricError):\n"
+        "    pass\n"
+        "class Orphan(ToricError):\n"
+        "    pass\n"
+    )
+    (tmp_path / "use.py").write_text(
+        "from . import errors\n"
+        "from .errors import Bare, Orphan\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise errors.Used(x)\n"
+        "    if isinstance(x, Orphan):\n"
+        "        raise Bare\n"
+    )
+    # a name in an import or an isinstance check is not a raise
+    assert _unraised_errors(sorted(tmp_path.glob("*.py"))) == ["Orphan"]

@@ -1,22 +1,27 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricmld as t
-from toricmld.errors import InternalError, NotFullDimensional, NotInteriorPoint, NotQCartier, TooManyRays
+from toricmld import structure
+from toricmld.errors import DependentVectors, InternalError, NotFullDimensional, NotInteriorPoint, NotQCartier
 from toricmld.linalg import dot, rank
 from toricmld.structure import (
     Decomposition,
     FullDimSubcone,
     Simplicial,
     SpanningPair,
-    _subcone_index_sets,
+    _first_subset,
     _tau_containing_ray,
     _validate_decomposition,
 )
 
+import subset_reference
 from lp_reference import in_relint
 
 F = Fraction
@@ -26,15 +31,15 @@ ORTHANT3 = t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_subcones_simplicial_empty():
-    assert t.subcones_containing(ORTHANT3, (1, 1, 1)) == []
+    assert subset_reference.subcones_containing(ORTHANT3, (1, 1, 1)) == []
 
 
 def test_subcones_examples():
-    subs = t.subcones_containing(FOURRAY, (1, 1, 0))
+    subs = subset_reference.subcones_containing(FOURRAY, (1, 1, 0))
     ray_sets = [set(c.rays) for c in subs]
     assert {(1, 0, 0), (0, 1, 0)} in ray_sets
     assert {(0, 0, 1), (1, 1, -1)} in ray_sets
-    subs = t.subcones_containing(FOURRAY, (2, 1, 1))
+    subs = subset_reference.subcones_containing(FOURRAY, (2, 1, 1))
     assert {(1, 0, 0), (0, 0, 1), (1, 1, -1)} in [set(c.rays) for c in subs]
 
 
@@ -44,7 +49,7 @@ def test_subcones_oracle_feasibility():
     import itertools
 
     for m in [(1, 1, 0), (2, 1, 1), (2, 2, 1)]:
-        reported = {frozenset(c.rays) for c in t.subcones_containing(FOURRAY, m)}
+        reported = {frozenset(c.rays) for c in subset_reference.subcones_containing(FOURRAY, m)}
         k = len(FOURRAY.rays)
         for size in range(1, k):
             for idx in itertools.combinations(range(k), size):
@@ -55,17 +60,14 @@ def test_subcones_oracle_feasibility():
 
 def test_subcones_errors():
     with pytest.raises(NotInteriorPoint):
-        t.subcones_containing(FOURRAY, (1, 0, 1))
+        subset_reference.subcones_containing(FOURRAY, (1, 0, 1))
     # points on a parabola are in convex position, so the cone over them
-    # has one extremal ray per point
+    # has one extremal ray per point; more than 16 rays get an answer
     rays = [(i, i * i, 1) for i in range(17)]
     cone17 = t.make_cone(3, rays)
     assert len(cone17.rays) == 17
     interior = tuple(sum(col) for col in zip(*cone17.rays))
-    with pytest.raises(TooManyRays):
-        t.subcones_containing(cone17, interior)
-    with pytest.raises(TooManyRays):
-        t.trichotomy(cone17, interior)
+    _revalidate(cone17, interior, t.trichotomy(cone17, interior))
 
 
 def _revalidate(cone, m, res):
@@ -143,9 +145,9 @@ def _eager_trichotomy(c, m):
 def test_lazy_subset_search_agrees_with_eager_reference():
     # random non-simplicial cones, probed at the ray sum and at the
     # interior sums of two rays (which often lie on an inner wall and need
-    # a spanning pair): the lazy search yields the hits in sorted order,
-    # and trichotomy and _tau_containing_ray return the same cones as the
-    # eager reference
+    # a spanning pair): the reference walk yields the hits in sorted
+    # order, and trichotomy and _tau_containing_ray, through the pruned
+    # search, return the same cones as the eager reference
     from conftest import height_cone_germ
 
     cones = [height_cone_germ(3, s).cone for s in range(8)]
@@ -158,13 +160,114 @@ def test_lazy_subset_search_agrees_with_eager_reference():
             if t.membership(c, m) is t.Membership.RELATIVE_INTERIOR:
                 points.append(m)
         for m in points[:4]:
-            assert list(_subcone_index_sets(c, m)) == _eager_index_sets(c, m)
+            assert list(subset_reference.subcone_index_sets(c, m)) == _eager_index_sets(c, m)
             got = t.trichotomy(c, m)
             assert got == _eager_trichotomy(c, m), (c, m)
             seen.add(type(got))
             for rho in c.rays:
                 assert _tau_containing_ray(c, m, rho) == _eager_tau_containing_ray(c, m, rho)
     assert seen == {FullDimSubcone, SpanningPair}
+
+
+@st.composite
+def cones_with_points(draw):
+    """A cone over distinct lattice points at height one, with at most 10
+    rays: full-dimensional in Z^n, n = 2..6, or in its own span of
+    dimension n - 1, with the extra coordinate a drawn combination of
+    the others; and an interior point.  Half the point sets are
+    centrally symmetric, probed at their centre, the ray sum, which lies
+    on many inner walls; the others at the sum of two or three drawn
+    rays when that is interior, else at the ray sum."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.sampled_from((n, n - 1) if n > 2 else (n,)))
+    spread = 2 if d <= 4 else 1
+    coords = st.tuples(*[st.integers(-spread, spread)] * (d - 1))
+    pts = draw(st.lists(coords, min_size=d + 2, max_size=10, unique=True))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        pts = list(dict.fromkeys(pts[:5] + [tuple(-x for x in p) for p in pts[:5]]))
+    rays = [p + (1,) for p in pts]
+    if d < n:
+        at = draw(st.integers(0, d))
+        a = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        rays = [r[:at] + (dot(a, r),) + r[at:] for r in rays]
+    c = t.make_cone(n, rays)
+    m = tuple(map(sum, zip(*c.rays)))
+    picks = draw(st.sets(st.integers(0, len(c.rays) - 1), min_size=2, max_size=3))
+    pair_sum = tuple(map(sum, zip(*[c.rays[i] for i in picks])))
+    if not symmetric and structure.membership(c, pair_sum) is t.Membership.RELATIVE_INTERIOR:
+        m = pair_sum
+    return c, m
+
+
+def test_first_subset_agrees_with_the_walk(monkeypatch):
+    """The pruned search returns the exhaustive walk's first hit in both
+    modes, None included, and trichotomy and _tau_containing_ray choose
+    the same cones as with the walk, in dims 2-6 with up to 10 rays, on
+    full-dimensional cones and cones in their own lower-dimensional span."""
+    seen = set()
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(cones_with_points())
+    def check(cm):
+        c, m = cm
+        got = [_first_subset(c, m, full) for full in (True, False)]
+        assert got == [subset_reference.first_subset(c, m, full) for full in (True, False)], (c, m)
+        tri = structure.trichotomy if c.dim == c.n else structure._trichotomy
+        res = tri(c, m)
+        taus = [_tau_containing_ray(c, m, rho) for rho in c.rays]
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_first_subset", subset_reference.first_subset)
+            assert res == tri(c, m), (c, m)
+            assert taus == [_tau_containing_ray(c, m, rho) for rho in c.rays]
+        seen.add("full-rank hit" if got[0] else "any-rank hit only" if got[1] else "no hit")
+        seen.add(type(res).__name__)
+        seen.add("lower-dimensional" if c.dim < c.n else "full-dimensional")
+
+    check()
+    assert seen >= {
+        "full-rank hit", "any-rank hit only", "no hit", "SpanningPair",
+        "lower-dimensional", "full-dimensional",
+    }, seen
+
+
+def _cross_polytope(n):
+    """The cone over the cross-polytope: rays +-e_i + e_n, i < n - 1,
+    around m = e_n, which lies on every inner wall."""
+    rays = [tuple(s * (j == i) + (j == n - 1) for j in range(n)) for i in range(n - 1) for s in (1, -1)]
+    return t.make_cone(n, rays), tuple(int(j == n - 1) for j in range(n))
+
+
+def test_cross_polytope_search_is_quadratic(monkeypatch):
+    # the exhaustive walk tested up to 2^k subsets; the pruned search
+    # tests at most k^2 in a whole trichotomy, spanning pair included
+    tests = []
+    real = structure._subtree_hits
+    monkeypatch.setattr(structure, "_subtree_hits", lambda *a: tests.append(a) or real(*a))
+    for n in range(5, 12):
+        c, m = _cross_polytope(n)
+        k = len(c.rays)
+        tests.clear()
+        res = t.trichotomy(c, m)
+        assert isinstance(res, SpanningPair)
+        _revalidate(c, m, res)
+        assert 0 < len(tests) <= k * k, (n, len(tests))
+    monkeypatch.undo()
+    c, m = _cross_polytope(9)
+    g = t.make_germ(c)
+    start = time.perf_counter()
+    d = t.decompose(g, m)
+    assert time.perf_counter() - start < 1
+    _check_decomposition(g, m, d)
+
+
+def test_decompose_many_ray_parabola_cones():
+    # points on a parabola are in convex position: one ray per point
+    for k in (24, 40):
+        g = t.make_germ(t.make_cone(3, [(i, i * i, 1) for i in range(k)]))
+        assert len(g.cone.rays) == k
+        m = tuple(map(sum, zip(*g.cone.rays)))
+        _check_decomposition(g, m, t.decompose(g, m))
 
 
 def test_trichotomy_errors():
@@ -179,7 +282,7 @@ def test_interior_point_errors_print_rationals():
     CLI's other outputs do, whether its coordinates are ints or Fractions."""
     point = (Fraction(1, 2), Fraction(0), 0)
     germ = t.make_germ(FOURRAY)
-    for fn, arg in ((t.subcones_containing, FOURRAY), (t.trichotomy, FOURRAY), (t.decompose, germ)):
+    for fn, arg in ((t.trichotomy, FOURRAY), (t.decompose, germ)):
         with pytest.raises(NotInteriorPoint, match=r"^\(1/2, 0, 0\) is not"):
             fn(arg, point)
 
@@ -274,6 +377,14 @@ def test_blowup_report_examples():
     boundary = [F(1, 2) if r == (1, 0, 0) else F(0) for r in FOURRAY.rays]
     with pytest.raises(NotQCartier):
         t.blowup_report(t.make_germ(FOURRAY, boundary), d)
+
+
+def test_blowup_report_rejects_dependent_vectors():
+    g = t.make_germ(FOURRAY)
+    d = t.decompose(g, (1, 1, 0))
+    dependent = Decomposition(d.k0, (d.vectors[0],) * 3, (d.coefficients[0],) * 3, 0)
+    with pytest.raises(DependentVectors):
+        t.blowup_report(g, dependent)
 
 
 def test_blowup_sigma0_inside_cone():
