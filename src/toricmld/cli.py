@@ -97,7 +97,7 @@ def _emit(doc: dict, args) -> None:
 
 def _cmd_mld(args) -> dict:
     germ = _load_germ(args.germ)
-    bound = parse_rational(args.bound) if args.bound else None
+    bound = parse_rational(args.bound) if args.bound is not None else None
     r = mld(germ, bound=bound)
     return {"mld": format_q(r.value), "minimizers": [_point_out(p) for p in r.minimizers]}
 
@@ -115,7 +115,7 @@ def _cmd_oracle_mld(args) -> dict:
             "count": len(pts),
             "points": [[_point_out(p), format_q(v)] for p, v in pts],
         }
-    bound = parse_rational(args.bound) if args.bound else None
+    bound = parse_rational(args.bound) if args.bound is not None else None
     value, mins = oracle.oracle_mld(germ, bound=bound)
     return {"mld": format_q(value), "minimizers": [_point_out(p) for p in mins]}
 

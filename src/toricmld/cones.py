@@ -10,9 +10,9 @@ independent generators skip it: their dual basis is the whole dual
 description.  Relative interiors of ray subsets take one linear solve,
 and the facets only when the rays are dependent.  A cone that does not
 span the ambient space keeps its rays in ambient coordinates; its dual
-description is computed in coordinates over the Hermite basis of the
-lattice its generators generate, and its facet normals are lifted back
-into its span.
+description is computed on the pivot coordinates of its span, onto
+which the span projects one to one, and its facet normals are supported
+there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
-from .linalg import IntVec, dot, mat_mul, mat_vec, primitive, rank, transpose
+from .linalg import IntVec, dot, primitive, rank, transpose
 
 
 class Membership(Enum):
@@ -39,8 +39,9 @@ class Cone(NamedTuple):
 
     ``rays`` are the primitive extremal generators, sorted, and ``dim``
     is the dimension of their span; ``facets`` are primitive inward
-    facet normals that lie in that span.  A cone of dim < n tests
-    membership in its span by a solve against its rays.
+    facet normals.  A cone of dim < n has normals supported on its
+    span's pivot coordinates, which are inward only on the span, and
+    tests membership in its span by a solve against its rays.
     """
 
     n: int
@@ -118,17 +119,6 @@ def _double_description(ineqs: Sequence[IntVec], start: Sequence[int]):
     return rays
 
 
-def _lift_normals(inner_facets, basis):
-    """Pull facet normals computed in coordinates over the rows B of
-    ``basis`` back to the ambient space: h = h' . (B B^T)^-1 . B lies in
-    the span of B and evaluates like h' on its points.  The Gram matrix
-    B B^T is symmetric, so its dual basis is D (B B^T)^-1 and one call
-    serves every normal."""
-    cols = transpose(basis)
-    lift = mat_mul(cols, linalg.dual_basis(mat_mul(basis, cols))[1])
-    return [primitive(mat_vec(lift, h)) for h in inner_facets]
-
-
 def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     """Build the cone spanned by the generators.
 
@@ -149,13 +139,16 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     if len(basis) == len(prims) == n:
         return Cone(n, tuple(prims), tuple(sorted(map(primitive, linalg.dual_basis(prims)[1]))), n)
     if len(basis) < n:
-        # every generator has integer coordinates over the Hermite basis
-        # of the lattice the generators generate, and a primitive one has
-        # primitive coordinates, so the inner rays map back to generators
-        lat = linalg.hnf(prims)[:len(basis)]
-        inner = make_cone(len(lat), [linalg.echelon_coords(lat, p) for p in prims])
-        out_rays = tuple(sorted(mat_vec(transpose(lat), c) for c in inner.rays))
-        return Cone(n, out_rays, tuple(sorted(_lift_normals(inner.facets, lat))), inner.dim)
+        # the span projects one to one onto its pivot coordinates, so
+        # distinct generators have distinct projected primitive vectors,
+        # and a normal h put on the pivots, 0 elsewhere, reads h at the
+        # projection of each point of the span
+        pivots = linalg.independent_rows(transpose([prims[i] for i in basis]))
+        back = {primitive([p[j] for j in pivots]): p for p in prims}
+        inner = make_cone(len(pivots), list(back))
+        at = {j: k for k, j in enumerate(pivots)}
+        facets = sorted(tuple(h[at[j]] if j in at else 0 for j in range(n)) for h in inner.facets)
+        return Cone(n, tuple(sorted(back[r] for r in inner.rays)), tuple(facets), inner.dim)
     dual = _double_description(prims, basis)
     if rank([f for f, _ in dual]) < n:
         raise NotStronglyConvex("cone contains a line")

@@ -68,11 +68,6 @@ def mat_vec(a, x) -> tuple:
     return tuple(dot(row, x) for row in a)
 
 
-def mat_mul(a, b) -> tuple:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def _integer_row(row) -> tuple[int, list[int]]:
     """(d, d * row) with d the lcm of the row's denominators, so that
     d * row is a list of ints (d is 1 for a row of ints)."""

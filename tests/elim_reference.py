@@ -6,7 +6,10 @@ These are the package's earlier ``rank``, ``det``, ``solve_rational``,
 description that starts from an identity lineality space and the
 rank-per-generator extremality test, kept so the tests can compare the
 integer paths with them, and the ``primitive_direction`` of a rational
-vector that the double description here uses.  Nothing in ``src/``
+vector that the double description here uses.  ``lower_dimensional_cone``
+is the package's earlier construction of a cone that does not span the
+space, over the Hermite basis of the lattice its generators generate,
+with its facet normals lifted into the span.  Nothing in ``src/``
 imports this module, and its checks raise rather than assert, so they
 hold under ``python -O`` too.
 """
@@ -18,6 +21,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from nf_reference import mat_mul
+from toricmld import linalg
+from toricmld.cones import Cone, make_cone
 from toricmld.errors import InternalError
 from toricmld.linalg import (
     INCONSISTENT,
@@ -26,6 +32,7 @@ from toricmld.linalg import (
     LatticeBasis,
     RatVec,
     dot,
+    mat_vec,
     primitive,
     transpose,
 )
@@ -38,14 +45,16 @@ def primitive_direction(v: Sequence) -> IntVec:
     return primitive([(x * d).numerator for x in fracs])
 
 
-def rank(a) -> int:
-    """Rank over the rationals, by Gaussian elimination."""
+def pivot_columns(a) -> tuple[int, ...]:
+    """Pivot columns of the row echelon form of a, by Gaussian elimination:
+    the earliest maximal independent set of columns."""
     rows = [[Fraction(x) for x in row] for row in a]
     if not rows:
-        return 0
+        return ()
     n = len(rows[0])
-    r = 0
+    pivots = []
     for c in range(n):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -54,8 +63,13 @@ def rank(a) -> int:
             if i != r and rows[i][c] != 0:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return tuple(pivots)
+
+
+def rank(a) -> int:
+    """Rank over the rationals, by Gaussian elimination."""
+    return len(pivot_columns(a))
 
 
 def det(a) -> Fraction:
@@ -195,3 +209,30 @@ def extremal_by_rank(n: int, prims: Sequence[IntVec], facets: Sequence[IntVec]) 
     test ``make_cone`` used before it read the double description's
     tight-row bitmasks."""
     return tuple(p for p in prims if rank([f for f in facets if dot(f, p) == 0]) == n - 1)
+
+
+def _lift_normals(inner_facets, basis):
+    """Pull facet normals computed in coordinates over the rows B of
+    ``basis`` back to the ambient space: h = h' . (B B^T)^-1 . B lies in
+    the span of B and evaluates like h' on its points.  The Gram matrix
+    B B^T is symmetric, so its dual basis is D (B B^T)^-1 and one call
+    serves every normal."""
+    cols = transpose(basis)
+    lift = mat_mul(cols, linalg.dual_basis(mat_mul(basis, cols))[1])
+    return [primitive(mat_vec(lift, h)) for h in inner_facets]
+
+
+def lower_dimensional_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
+    """The cone of generators that do not span Q^n, as ``make_cone`` built
+    it before it projected the span onto its pivot coordinates: rays in
+    ambient coordinates, facet normals in the span.  A zero generator
+    raises ZeroVector and a line NotStronglyConvex."""
+    prims = sorted({primitive(g) for g in generators})
+    basis = linalg.independent_rows(prims)
+    # every generator has integer coordinates over the Hermite basis
+    # of the lattice the generators generate, and a primitive one has
+    # primitive coordinates, so the inner rays map back to generators
+    lat = linalg.hnf(prims)[:len(basis)]
+    inner = make_cone(len(lat), [linalg.echelon_coords(lat, p) for p in prims])
+    out_rays = tuple(sorted(mat_vec(transpose(lat), c) for c in inner.rays))
+    return Cone(n, out_rays, tuple(sorted(_lift_normals(inner.facets, lat))), inner.dim)

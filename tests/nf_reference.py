@@ -5,9 +5,9 @@ against.
 These are the package's earlier ``hnf`` (H with U . a = H) and ``snf``
 (S = U . A . V, through ``SNFResult`` and ``_snf_clear_at``), kept
 unchanged so the tests can compare the package with them and check the
-transforms themselves, and the Smith-based ``saturation_basis``, a
-basis of span intersect Z^n that the package no longer needs: the tests
-use it to rebase lower-dimensional cones.
+transforms themselves with ``mat_mul``, and the Smith-based
+``saturation_basis``, a basis of span intersect Z^n that the package no
+longer needs: the tests use it to rebase lower-dimensional cones.
 Nothing in ``src/`` imports this module, and its checks raise rather
 than assert, so they hold under ``python -O`` too.
 """
@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from toricmld.errors import InternalError
-from toricmld.linalg import IntVec, identity, solve_rational, transpose, xgcd
+from toricmld.linalg import IntVec, dot, identity, solve_rational, transpose, xgcd
+
+
+def mat_mul(a, b) -> tuple:
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def hnf(a) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:

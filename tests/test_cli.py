@@ -448,13 +448,16 @@ _PLANE = {"dim": 2, "rays": [[1, 0], [0, 1]]}
         (("check", "-", "--epsilon", "1/2", "--delta", "0.5e0"), _PLANE),
         (("trichotomy", "-", "--point", "1,1e300000"), _PLANE),
         (("decompose", "-", "--point", "1e-3000000,1"), _PLANE),
+        (("mld", "-", "--bound="), _PLANE),
+        (("oracle-mld", "-", "--bound="), _PLANE),
     ],
 )
 def test_rationals_in_exponent_notation_are_parse_errors(monkeypatch, argv, stdin):
     """Fraction expands an exponent, so a short string would become a huge
     number past the limit on parsed integers; each entry point of a
     rational, the germ document, the scan grid and every rational flag,
-    rejects it at once."""
+    rejects it at once.  An empty --bound is no rational either, and is
+    not read as the default bound."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
     start = time.monotonic()
     code, out, err = run(*argv)

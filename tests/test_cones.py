@@ -387,10 +387,11 @@ def test_lower_dimensional_cones_match_the_lp_and_elimination_references():
     """Rank-deficient generator sets in dims 2-6, among them sets whose
     lattice has index > 1 in its saturation, as (1, 1, 0), (1, -1, 0) does:
     make_cone's rays and dim agree with the LP and elimination references,
-    each facet lies in the span and agrees on it with one extreme ray of
-    the reference dual, and membership agrees with the LPs at points in
-    the relative interior, on the boundary, outside in the span, outside
-    the span and at non-lattice points of the saturation."""
+    each facet is zero off the pivot columns of the generators and agrees
+    on the span with one extreme ray of the reference dual, and membership
+    agrees with the LPs at points in the relative interior, on the
+    boundary, outside in the span, outside the span and at non-lattice
+    points of the saturation."""
     seen = Counter()
     kinds = {
         (True, True): "relative interior", (True, False): "boundary",
@@ -423,8 +424,9 @@ def test_lower_dimensional_cones_match_the_lp_and_elimination_references():
         dual, _ = elim_ref.double_description(n, prims)
         tight = {frozenset(i for i, ray in enumerate(cone.rays) if dot(y, ray) == 0): y for y in dual}
         assert len(cone.facets) == len(tight)
+        pivots = elim_ref.pivot_columns(prims)
         for f in cone.facets:
-            assert primitive(f) == f and elim_ref.rank(prims + [f]) == dim
+            assert primitive(f) == f and all(x == 0 for j, x in enumerate(f) if j not in pivots)
             y = tight[frozenset(i for i, ray in enumerate(cone.rays) if dot(f, ray) == 0)]
             # f and y are positive multiples of one functional on the span
             fv, yv = [dot(f, p) for p in prims], [dot(y, p) for p in prims]
@@ -446,4 +448,53 @@ def test_lower_dimensional_cones_match_the_lp_and_elimination_references():
 
     check()
     wanted = ["line", "index > 1", *kinds.values()] + [f"dim {n}" for n in range(2, 7)]
+    assert all(seen[kind] for kind in wanted), seen
+
+
+def test_lower_dimensional_cones_match_the_hermite_reference():
+    """Rank-deficient generator sets in dims 2-6, ranks 1 to n - 1, zero
+    generators among them: make_cone raises what the earlier construction
+    over the Hermite basis raises, or agrees with it on rays and dim, and
+    its facets match the reference's one to one by their values on the
+    generators, up to a positive multiple.  Permuting, duplicating and
+    scaling the generators, or adding a non-extremal one, gives an equal
+    cone."""
+    seen = Counter()
+
+    def build(make, n, gens):
+        try:
+            return make(n, gens)
+        except (NotStronglyConvex, ZeroVector) as exc:
+            return type(exc)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.data())
+    def check(n, data):
+        r = data.draw(st.integers(1, n - 1))
+        basis = [[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(r)]
+        gens = []
+        for _ in range(data.draw(st.integers(1, r + 3))):
+            coeffs = [data.draw(st.integers(-1, 3)) for _ in range(r)]
+            gens.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+        got, want = build(t.make_cone, n, gens), build(elim_ref.lower_dimensional_cone, n, gens)
+        if not isinstance(want, t.Cone):
+            assert got is want
+            seen[want.__name__] += 1
+            return
+        assert (got.n, got.rays, got.dim) == (want.n, want.rays, want.dim) and got.dim < n
+        prims = sorted({primitive(g) for g in gens})
+        values = [sorted(primitive([dot(f, p) for p in prims]) for f in c.facets) for c in (got, want)]
+        assert values[0] == values[1] and len(set(values[0])) == len(values[0])
+        if math.prod(nf_ref.snf(prims).invariant_factors) > 1:
+            seen["index > 1"] += 1
+        variant = data.draw(st.permutations(gens)) + [gens[0], tuple(3 * x for x in gens[-1])]
+        variant.append(tuple(map(sum, zip(*got.rays))))
+        assert t.make_cone(n, variant) == got
+        seen["lower-dimensional"] += 1
+        seen[f"dim {n}"] += 1
+        seen[f"rank {got.dim}"] += 1
+
+    check()
+    wanted = ["lower-dimensional", "index > 1", "NotStronglyConvex", "ZeroVector"]
+    wanted += [f"dim {n}" for n in range(2, 7)] + [f"rank {k}" for k in range(1, 6)]
     assert all(seen[kind] for kind in wanted), seen
