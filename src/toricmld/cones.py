@@ -6,8 +6,8 @@ description is obtained by the double description method in integers:
 it starts from the simplicial cone of n independent generators and adds
 the others one inequality at a time.  Extremality is read off its
 tight-row bitmasks and membership off the facets.  Exactly n
-independent generators skip it: their dual basis is the whole dual
-description.  Relative interiors of ray subsets take one linear solve,
+independent generators skip it: their dual basis, from one elimination,
+is the whole dual description, facet i opposite ray i.  Relative interiors of ray subsets take one linear solve,
 and the facets only when the rays are dependent.  A cone that does not
 span the ambient space keeps its rays in ambient coordinates; its dual
 description is computed on the pivot coordinates of its span, onto
@@ -39,7 +39,9 @@ class Cone(NamedTuple):
 
     ``rays`` are the primitive extremal generators, sorted, and ``dim``
     is the dimension of their span; ``facets`` are primitive inward
-    facet normals.  A cone of dim < n has normals supported on its
+    facet normals.  If dim == n == len(rays), facets[i] is the one facet
+    with facets[i] . rays[i] > 0, opposite rays[i]; other cones sort
+    their facets.  A cone of dim < n has normals supported on its
     span's pivot coordinates, which are inward only on the span, and
     tests membership in its span by a solve against its rays.
     """
@@ -125,7 +127,7 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     Generators are normalised to primitive vectors, duplicates and
     non-extremal generators are dropped, and strong convexity is
     verified.  n independent generators span a simplicial cone: they are
-    its rays, and the inward facet normals are their dual basis.  Raises
+    its rays, and their dual basis, in ray order, its facets.  Raises
     ValidationError (a generator not of length n), EmptyInput,
     ZeroVector or NotStronglyConvex.
     """
@@ -135,9 +137,9 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     if not generators:
         raise EmptyInput("a cone needs at least one generator")
     prims = sorted({primitive(g) for g in generators})
+    if len(prims) == n and (inverse := linalg.dual_basis(prims)) is not None:
+        return Cone(n, tuple(prims), tuple(map(primitive, inverse[1])), n)
     basis = linalg.independent_rows(prims)
-    if len(basis) == len(prims) == n:
-        return Cone(n, tuple(prims), tuple(sorted(map(primitive, linalg.dual_basis(prims)[1]))), n)
     if len(basis) < n:
         # the span projects one to one onto its pivot coordinates, so
         # distinct generators have distinct projected primitive vectors,
@@ -156,6 +158,8 @@ def make_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     # extremal iff no other generator is tight on all of them
     t = [sum(1 << j for j, (_, z) in enumerate(dual) if z >> k & 1) for k in range(len(prims))]
     extremal = [p for k, p in enumerate(prims) if all(q == k or s & t[k] != t[k] for q, s in enumerate(t))]
+    if len(extremal) == n:  # simplicial: the facet opposite each ray, as for n generators
+        return Cone(n, tuple(extremal), tuple(next(f for f, _ in dual if dot(f, r) > 0) for r in extremal), n)
     return Cone(n, tuple(extremal), tuple(sorted(f for f, _ in dual)), n)
 
 
@@ -182,10 +186,11 @@ def membership(c: Cone, v: Sequence) -> Membership:
     return Membership.RELATIVE_INTERIOR
 
 
-def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
-    """Is v in the relative interior of the cone the rays span?
+def in_relint(rays: Sequence[Sequence], v: Sequence, dim: int | None = None) -> bool:
+    """Is v in the relative interior of the cone the rays span, and, given
+    ``dim``, do the rays span a space of that dimension?
 
-    One linear solve decides most cases: v outside the span of the rays
+    One elimination decides most cases: v outside the span of the rays
     is not in the cone, and for independent rays (a simplicial cone) v is
     interior iff its coordinates are all positive.  Only dependent rays
     build the cone and ask the facets.
@@ -197,14 +202,14 @@ def in_relint(rays: Sequence[Sequence], v: Sequence) -> bool:
     span (otherwise the answer is False without building the cone).
     """
     if not rays:
-        return all(x == 0 for x in v)
+        return not dim and all(x == 0 for x in v)
     if not all(any(r) for r in rays):
         raise ZeroVector("the zero vector has no primitive generator")
-    sol = linalg.solve_rational(transpose(rays), v)
-    if sol is linalg.INCONSISTENT:
+    r, _, y = linalg.solve_scaled(transpose(rays), v)
+    if y is linalg.INCONSISTENT or dim not in (None, r):
         return False
-    if sol is not linalg.UNDERDETERMINED:
-        return all(x > 0 for x in sol)
+    if y is not linalg.UNDERDETERMINED:
+        return all(x > 0 for x in y)
     return membership(make_cone(len(v), rays), v) is Membership.RELATIVE_INTERIOR
 
 
@@ -212,10 +217,15 @@ def is_simplicial(c: Cone) -> bool:
     return len(c.rays) == c.dim
 
 
+def has_opposite_facets(c: Cone) -> bool:
+    """Is c full-dimensional and simplicial, so that facets[i] is opposite rays[i]?"""
+    return c.dim == c.n == len(c.rays)
+
+
 def minimal_face_containing(c: Cone, v: Sequence) -> Face:
     """The unique face whose relative interior contains v."""
     if membership(c, v) is Membership.OUTSIDE:
-        raise NotInCone(f"{tuple(Fraction(x) for x in v)} is not in the cone")
+        raise NotInCone(f"({', '.join(str(Fraction(x)) for x in v)}) is not in the cone")
     zero_facets = [f for f in c.facets if dot(f, v) == 0]
     idx = tuple(i for i, r in enumerate(c.rays) if all(dot(f, r) == 0 for f in zero_facets))
     return Face(c, idx)

@@ -73,24 +73,29 @@ class ToricGerm:
 
     @cached_property
     def rebased(self) -> Rebased:
-        """The germ in coordinates of N, with L solved over its rays there:
-        L(ray) = 1 - coeff.  Inconsistency means the log canonical divisor
-        is not Q-Cartier at the point; an underdetermined system means the
-        cone is not full-dimensional."""
-        rays = self.cone.rays
+        """The germ in coordinates of N, with L(ray) = 1 - coeff there: the
+        sum of (1 - b_i) f_i / (f_i . r_i) for a simplicial cone, f_i the
+        facet opposite r_i, else solved.  No solution means K is not
+        Q-Cartier at the point; many, that the cone is not full-dimensional."""
+        rays, cone = self.cone.rays, self.cone
         if not self.lattice.is_standard:
             rays = [express_in_basis(self.lattice, ray) for ray in rays]
             if None in rays:
                 raise InternalError("a ray of a validated germ is not a point of N")
-        coeffs = linalg.solve_rational(rays, [1 - b for b in self.boundary])
-        if coeffs is INCONSISTENT:
-            raise NotQCartier("no linear functional matches all ray values")
-        if coeffs is UNDERDETERMINED:
-            raise NotFullDimensional("the cone does not span the ambient space")
-        cone = self.cone if self.lattice.is_standard else make_cone(self.dim, rays)
-        den = math.lcm(*[f.denominator for f in coeffs])
-        l_num = tuple(f.numerator * (den // f.denominator) for f in coeffs)
-        return Rebased(cone, l_num, den)
+            cone = make_cone(self.dim, rays)  # N's basis keeps the rays in order
+        if cones.has_opposite_facets(cone):
+            # (1 - b_i) / (f_i . r_i) = p_i / q_i, over the common denominator den
+            pq = [(b.denominator - b.numerator, b.denominator * dot(f, r)) for b, f, r in zip(self.boundary, cone.facets, rays)]
+            den = math.lcm(*[q for _, q in pq])
+            l_num = [sum(p * (den // q) * f[j] for (p, q), f in zip(pq, cone.facets)) for j in range(self.dim)]
+        else:
+            _, den, l_num = linalg.solve_scaled(rays, [1 - b for b in self.boundary])
+            if l_num is INCONSISTENT:
+                raise NotQCartier("no linear functional matches all ray values")
+            if l_num is UNDERDETERMINED:
+                raise NotFullDimensional("the cone does not span the ambient space")
+        g = math.gcd(den, *l_num)
+        return Rebased(cone, tuple(x // g for x in l_num), den // g)
 
     @cached_property
     def orbifold(self) -> LatticeBasis:
@@ -172,6 +177,8 @@ def _cells(cone: Cone) -> list[tuple[int, ...]]:
     of each facet that misses it, the facets being its intersections with
     the cone's facets that have rank k - 1."""
     rays = cone.rays
+    if cones.has_opposite_facets(cone):
+        return [tuple(range(len(rays)))]
     on_facet = [{i for i, r in enumerate(rays) if dot(h, r) == 0} for h in cone.facets]
 
     def triangulate(face: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -208,8 +215,7 @@ def _box_points(rb: Rebased):
         v = [cone.rays[i] for i in cell]
         ells = [dot(l_num, r) for r in v]
         diag = [(j, row[j]) for j, row in enumerate(linalg.hnf(v)) if row[j] > 1]
-        # w[i] is d times the dual vector of v[i], the inward normal of the facet opposite v[i]
-        d, w = linalg.dual_basis(v)
+        d, w = _cell_dual(cone, v, diag)  # w[i]: the inward normal of the facet opposite v[i]
         cols, values = [], [0] * d
         for wi, ell in zip(w, ells):
             col = [0]
@@ -221,6 +227,16 @@ def _box_points(rb: Rebased):
             values = [a + c * ell for a, c in zip(values, col)]
             cols.append(col)
         yield v, ells, d, cols, [a // d for a in values]
+
+
+def _cell_dual(cone: Cone, v, diag):
+    """d = |det v| and w[i] = d times the dual vector of v[i], for a cell v
+    of Hermite diagonal ``diag``; the one cell of a simplicial cone reads
+    w[i] off facets[i], the facet opposite v[i]."""
+    if cones.has_opposite_facets(cone):
+        d = math.prod(h for _, h in diag)
+        return d, [[d // dot(f, r) * x for x in f] for f, r in zip(cone.facets, v)]
+    return linalg.dual_basis(v)
 
 
 def _box_point(v, d: int, cols, k: int) -> tuple[int, ...]:
@@ -361,11 +377,12 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
 def log_discrepancy_at(germ: ToricGerm, u: Sequence) -> Fraction:
     """L(u) for an interior lattice point u, in ambient coordinates."""
     c = express_in_basis(germ.lattice, u)
+    shown = ", ".join(str(Fraction(x)) for x in u)
     if c is None:
-        raise NotInteriorPoint(f"{tuple(u)} is not a point of the ambient lattice")
+        raise NotInteriorPoint(f"({shown}) is not a point of the ambient lattice")
     rb = germ.rebased
     if cones.membership(rb.cone, c) is not Membership.RELATIVE_INTERIOR:
-        raise NotInteriorPoint(f"{tuple(u)} is not in the interior of the cone")
+        raise NotInteriorPoint(f"({shown}) is not in the interior of the cone")
     return Fraction(dot(rb.l_num, c), rb.den)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import InternalError, ValidationError, ZeroVector
+from .errors import ValidationError, ZeroVector
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -159,16 +159,12 @@ INCONSISTENT = _Inconsistent()
 UNDERDETERMINED = _Underdetermined()
 
 
-def solve_rational(a, b):
-    """Solve the linear system row_i . x = b_i exactly.
-
-    Returns the unique solution as a tuple of Fractions, or the
-    INCONSISTENT / UNDERDETERMINED sentinel.  Inconsistency wins over
-    underdetermination: a system with no solutions is reported as
-    inconsistent even when its coefficient rank is deficient.  Ragged
-    rows, or a right-hand side whose length is not the number of rows,
-    raise ValidationError.
-    """
+def solve_scaled(a, b):
+    """(r, d, y) for the system row_i . x = b_i, from one elimination of
+    [a | b]: r is the rank of a, and y = d * x, ints with the signs of x
+    (d > 0), for the unique solution x; else y is the INCONSISTENT
+    sentinel, which wins even when a is rank deficient, or UNDERDETERMINED.
+    Ragged rows, or a b of the wrong length, raise ValidationError."""
     m = len(a)
     n = len(a[0]) if m else 0
     if len(b) != m or any(len(row) != n for row in a):
@@ -176,11 +172,18 @@ def solve_rational(a, b):
     rows = [_integer_row((*row, rhs))[1] for row, rhs in zip(a, b)]
     pivots, _ = _eliminate(rows, n + 1)
     if pivots and pivots[-1] == n:  # a pivot in the right-hand side column
-        return INCONSISTENT
+        return len(pivots) - 1, 1, INCONSISTENT
     if len(pivots) < n:
-        return UNDERDETERMINED
+        return len(pivots), 1, UNDERDETERMINED
     d = rows[n - 1][n - 1] if n else 1
-    return tuple(Fraction(x, d) for x in _back_substitute(rows, n, n))
+    y = _back_substitute(rows, n, n)
+    return n, abs(d), tuple(y if d > 0 else [-x for x in y])
+
+
+def solve_rational(a, b):
+    """The solution of ``solve_scaled`` as a tuple of Fractions, or its sentinel."""
+    _, d, y = solve_scaled(a, b)
+    return y if y is INCONSISTENT or y is UNDERDETERMINED else tuple(Fraction(x, d) for x in y)
 
 
 def _back_substitute(rows: list[list[int]], n: int, col: int) -> list[int]:
@@ -195,15 +198,15 @@ def _back_substitute(rows: list[list[int]], n: int, col: int) -> list[int]:
     return y
 
 
-def dual_basis(a) -> tuple[int, tuple[IntVec, ...]]:
-    """(D, w) for a square nonsingular integer matrix a: D = |det a| and
-    int rows w_i with w_i . a_j = D [i = j], the columns of D a^-1.  One
-    elimination of [a | I], one back substitution per column of I; a
-    singular a raises InternalError."""
+def dual_basis(a) -> tuple[int, tuple[IntVec, ...]] | None:
+    """(D, w) for a square integer matrix a: D = |det a| and int rows w_i
+    with w_i . a_j = D [i = j], the columns of D a^-1; None if a is
+    singular.  One elimination of [a | I], one back substitution per
+    column of I."""
     n = len(a)
     rows = [[*row, *e] for row, e in zip(a, identity(n))]
     if len(_eliminate(rows, n)[0]) < n:
-        raise InternalError("dual basis of a singular matrix")
+        return None
     d = rows[n - 1][n - 1] if n else 1
     return abs(d), tuple(tuple(x if d > 0 else -x for x in _back_substitute(rows, n, n + i)) for i in range(n))
 

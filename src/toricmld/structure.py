@@ -32,6 +32,7 @@ from . import linalg
 from .cones import (
     Cone,
     Membership,
+    has_opposite_facets,
     in_relint,
     is_simplicial,
     make_cone,
@@ -93,16 +94,17 @@ def _subtree_hits(c: Cone, m, full: bool, p, u) -> bool:
     interiors grow with the cone in a fixed span.  Any rank: iff m is in
     cone(u) and p lies in the minimal face of cone(u) containing m, since
     a face that contains a positive combination contains every term of
-    it; S is then the rays of that face.  Only a dependent u builds its
-    cone."""
+    it; S is then the rays of that face.  One elimination of [u^T | m]
+    reads rank u and the signs of m's coordinates over u; only a
+    dependent u builds its cone."""
     rays = [c.rays[i] for i in u]
     if full:
-        return len(u) >= c.dim and rank(rays) == c.dim and in_relint(rays, m)
-    sol = solve_rational(transpose(rays), m)
-    if sol is linalg.INCONSISTENT:
+        return len(u) >= c.dim and in_relint(rays, m, c.dim)
+    _, _, y = linalg.solve_scaled(transpose(rays), m)  # y = d x, d > 0: the signs of m's coordinates
+    if y is linalg.INCONSISTENT:
         return False
-    if sol is not linalg.UNDERDETERMINED:
-        return all(x >= 0 for x in sol) and all(x > 0 for x in sol[: len(p)])
+    if y is not linalg.UNDERDETERMINED:
+        return all(x >= 0 for x in y) and all(x > 0 for x in y[: len(p)])
     # u lists p first, and its rays are the extremal rays of their cone
     facets = make_cone(c.n, rays).facets
     if any(dot(f, m) < 0 for f in facets):
@@ -210,7 +212,10 @@ def _decompose_rec(cone: Cone, m):
     n, k = cone.dim, len(cone.rays)
     tri = _trichotomy(cone, m)
     if isinstance(tri, Simplicial):
-        sol = solve_rational(transpose(cone.rays), m)
+        if has_opposite_facets(cone):
+            sol = tuple(Fraction(dot(f, m), dot(f, r)) for f, r in zip(cone.facets, cone.rays))
+        else:
+            sol = solve_rational(transpose(cone.rays), m)
         if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
             raise InternalError("an interior point is not a positive combination of simplicial rays")
         k0 = math.lcm(*[x.denominator for x in sol])

@@ -9,7 +9,10 @@ integer paths with them, and the ``primitive_direction`` of a rational
 vector that the double description here uses.  ``lower_dimensional_cone``
 is the package's earlier construction of a cone that does not span the
 space, over the Hermite basis of the lattice its generators generate,
-with its facet normals lifted into the span.  Nothing in ``src/``
+with its facet normals lifted into the span.  ``rebased_by_solve`` and
+``simplicial_rows_by_solve`` are the solves that L and the simplicial
+base case of the decomposition came from before a simplicial cone read
+them off its facets.  Nothing in ``src/``
 imports this module, and its checks raise rather than assert, so they
 hold under ``python -O`` too.
 """
@@ -236,3 +239,29 @@ def lower_dimensional_cone(n: int, generators: Sequence[Sequence[int]]) -> Cone:
     inner = make_cone(len(lat), [linalg.echelon_coords(lat, p) for p in prims])
     out_rays = tuple(sorted(mat_vec(transpose(lat), c) for c in inner.rays))
     return Cone(n, out_rays, tuple(sorted(_lift_normals(inner.facets, lat))), inner.dim)
+
+
+def rebased_by_solve(germ) -> tuple:
+    """(cone, l_num, den) of ``germ.rebased`` as it was built for every
+    cone: the rays in coordinates of N, L solved over them, and the cone
+    of the rebased rays.  Raises InternalError if L is not unique."""
+    rays = germ.cone.rays
+    if not germ.lattice.is_standard:
+        rays = [express_in_basis(germ.lattice, r) for r in rays]
+    coeffs = solve_rational(rays, [1 - b for b in germ.boundary])
+    if not isinstance(coeffs, tuple):
+        raise InternalError(f"L over the rays is {coeffs!r}")
+    cone = germ.cone if germ.lattice.is_standard else make_cone(germ.dim, rays)
+    den = math.lcm(*[f.denominator for f in coeffs])
+    return cone, tuple(f.numerator * (den // f.denominator) for f in coeffs), den
+
+
+def simplicial_rows_by_solve(cone: Cone, m) -> tuple[int, list[list[int]]]:
+    """k0 and the diagonal rows of the decomposition of m over a
+    simplicial cone's rays, from m's coordinates over the rays: k0 is the
+    lcm of their denominators and row i holds k0 times coordinate i."""
+    sol = solve_rational(transpose(cone.rays), m)
+    if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
+        raise InternalError(f"m's coordinates over the rays are {sol!r}")
+    k0 = math.lcm(*[x.denominator for x in sol])
+    return k0, [[int(x * k0) if i == j else 0 for j in range(len(sol))] for i, x in enumerate(sol)]

@@ -152,6 +152,12 @@ def test_minimal_face_outside():
         t.minimal_face_containing(ORTHANT2, (-1, 2))
 
 
+def test_minimal_face_outside_prints_a_rational_point():
+    with pytest.raises(NotInCone) as exc:
+        t.minimal_face_containing(ORTHANT2, (Fraction(-1), Fraction(1, 2)))
+    assert str(exc.value) == "(-1, 1/2) is not in the cone"
+
+
 def test_minimal_face_feasibility_oracle():
     # v lies in the relative interior of the face cone, and the face rays
     # are a subset of the parent rays (checked by exact LP feasibility)
@@ -271,9 +277,11 @@ def test_bitmask_extremality_matches_the_rank_and_lp_references():
             prims = sorted({primitive(g) for g in gens})
             assert cone.rays == extremal_by_rank(n, prims, cone.facets) == extremal_generators(gens)
             dropped += len(prims) > len(cone.rays)
+            if len(cone.rays) == n:  # simplicial: facet i is the one facet positive on ray i
+                assert all((dot(f, r) > 0) == (i == j) for i, f in enumerate(cone.facets) for j, r in enumerate(cone.rays))
             dual = t.dual_cone(cone)
             assert dual.rays == extremal_by_rank(n, sorted(set(cone.facets)), dual.facets)
-            assert dual.rays == cone.facets
+            assert dual.rays == tuple(sorted(cone.facets))
     assert dropped >= 40
 
 

@@ -198,6 +198,16 @@ def test_log_discrepancy_at_examples():
         t.log_discrepancy_at(g, (1, 0))
 
 
+def test_log_discrepancy_at_errors_print_rational_points():
+    g = t.make_germ(t.make_cone(2, [(1, 0), (0, 1)]))
+    with pytest.raises(NotInteriorPoint) as exc:
+        t.log_discrepancy_at(g, (F(1, 2), F(1)))
+    assert str(exc.value) == "(1/2, 1) is not a point of the ambient lattice"
+    with pytest.raises(NotInteriorPoint) as exc:
+        t.log_discrepancy_at(g, (F(-1), 2))
+    assert str(exc.value) == "(-1, 2) is not in the interior of the cone"
+
+
 def test_mld_in_range_and_minimality():
     # mld of the smooth orthant is the dimension; every enumerated interior
     # point bounds the minimum from above

@@ -1,0 +1,240 @@
+"""Simplicial cones read their dual data off their facets.
+
+A full-dimensional simplicial cone (dim == n == number of rays) keeps
+facets[i] opposite rays[i], and L, the box-point cells and the base
+case of the decomposition read their answers off those facets instead
+of eliminating again.  These tests compare each of those fast paths
+with the elimination it replaces, check that a rank-deficient cone with
+n rays stays off them, and count the eliminations per command so that a
+refactor which brings the duplicates back fails here.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import elim_reference as ref
+from conftest import height_cone_germ, oracle_corpus
+import toricmld as t
+from toricmld import cli, invariants, linalg, structure
+from toricmld.errors import ToricError, ValidationError
+from toricmld.linalg import primitive, rank
+
+COEFFS = [Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1, 3)]
+
+
+def _simplicial_germ(data, n):
+    """A germ over n independent generators, drawn with a boundary and a
+    lattice_extra generator, and with a non-extremal generator v0 + v1
+    that sends make_cone through the double description; returns the
+    germ and the kinds it covers."""
+    draw = data.draw
+    gens = [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(n)]
+    assume(rank(gens) == n)
+    kinds = {f"dim {n}", f"det sign {ref.det(sorted(map(primitive, gens))) > 0}"}
+    extra = []
+    if n >= 2 and draw(st.booleans()):
+        extra = [tuple(x + y for x, y in zip(gens[0], gens[1]))]
+        kinds.add("double description")
+    cone = t.make_cone(n, gens + extra)
+    assert len(cone.rays) == cone.dim == n
+    boundary = [draw(st.sampled_from(COEFFS)) for _ in cone.rays]
+    if any(boundary):
+        kinds.add("boundary")
+    lattice = None
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 3))
+        lattice = linalg.lattice_from_generators(n, [[Fraction(draw(st.integers(0, k - 1)), k) for _ in range(n)]])
+        kinds.add("lattice_extra" if not lattice.is_standard else "trivial lattice_extra")
+    try:
+        germ = t.make_germ(cone, boundary, lattice)
+    except ValidationError:  # a ray that is not primitive in N
+        assume(False)
+    return germ, kinds
+
+
+def test_simplicial_fast_paths_match_the_eliminations():
+    """L from the facets equals the solve, the one cell's (d, w) equals
+    its dual basis, and the base case of the decomposition equals the
+    solve of m over the rays; dims 1-6, boundaries, lattice_extra and
+    cones built by the double description all occur."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.data())
+    def check(n, data):
+        germ, kinds = _simplicial_germ(data, n)
+        rb = germ.rebased
+        assert (rb.cone, rb.l_num, rb.den) == ref.rebased_by_solve(germ)
+        cone = rb.cone
+        assert cone.dim == cone.n == len(cone.rays)
+        assert invariants._cells(cone) == [tuple(range(n))]
+        v = list(cone.rays)
+        diag = [(j, row[j]) for j, row in enumerate(linalg.hnf(v)) if row[j] > 1]
+        d, w = invariants._cell_dual(cone, v, diag)
+        assert (d, tuple(map(tuple, w))) == linalg.dual_basis(v)
+        # an interior point with fractional coordinates over the rays
+        coeffs = [data.draw(st.integers(1, 4)) for _ in v]
+        shift = [data.draw(st.integers(-1, 1)) for _ in range(n)]
+        m = tuple(sum(a * r[j] for a, r in zip(coeffs, v)) + s for j, s in enumerate(shift))
+        assume(t.membership(cone, m) is t.Membership.RELATIVE_INTERIOR)
+        k0, rows = structure._decompose_rec(cone, m)
+        assert (k0, rows) == ref.simplicial_rows_by_solve(cone, m)
+        seen.update(kinds)
+        seen["fractional coordinates"] += k0 > 1
+
+    check()
+    kinds = ["det sign True", "det sign False", "double description", "boundary", "lattice_extra",
+             "fractional coordinates"] + [f"dim {n}" for n in range(1, 7)]
+    assert all(seen[kind] for kind in kinds), seen
+
+
+def test_rebased_matches_the_solve_on_the_oracle_corpus():
+    """Simplicial germs read L off their facets and the others solve for
+    it with ``solve_scaled``; both give the reference's minimal (l_num, den)."""
+    half = Fraction(1, 2)
+    extended = [t.make_germ(height_cone_germ(n, s).cone, None,
+                            linalg.lattice_from_generators(n, [[half, half] + [0] * (n - 2)]))
+                for n in (3, 4) for s in range(4)]  # height-one rays stay primitive
+    seen = Counter()
+    for germ in oracle_corpus() + extended + [t.family("ex4", n) for n in range(2, 7)]:
+        rb = germ.rebased
+        assert (rb.cone, rb.l_num, rb.den) == ref.rebased_by_solve(germ)
+        seen[len(rb.cone.rays) == rb.cone.n, germ.lattice.is_standard] += 1
+    assert len(seen) == 4, seen
+
+
+def test_lower_dimensional_simplicial_base_case_solves():
+    """A cone of k < n independent rays is simplicial in its span, and its
+    base case is the solve: its facets are not opposite its rays."""
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.data())
+    def check(n, data):
+        k = data.draw(st.integers(1, n - 1))
+        gens = [tuple(data.draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(k)]
+        assume(rank(gens) == k)
+        cone = t.make_cone(n, gens)
+        coeffs = [data.draw(st.integers(1, 4)) for _ in cone.rays]
+        m = tuple(sum(a * r[j] for a, r in zip(coeffs, cone.rays)) for j in range(n))
+        assert cone.dim == k < n
+        assert structure._decompose_rec(cone, m) == ref.simplicial_rows_by_solve(cone, m)
+        seen[(n, k)] += 1
+
+    check()
+    assert len(seen) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# a cone with n rays that does not span Q^n
+
+
+DEGENERATE = {"dim": 4, "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]]}
+
+
+def _run(argv, doc):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(doc))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _stdin(stdin):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def _stdin(stream):
+    saved, sys.stdin = sys.stdin, stream
+    try:
+        yield
+    finally:
+        sys.stdin = saved
+
+
+def test_a_rank_three_cone_with_four_rays_in_q4_is_not_full_dimensional():
+    cone = t.make_cone(4, DEGENERATE["rays"])
+    assert len(cone.rays) == cone.n == 4 and cone.dim == 3
+    for argv in (["mld", "-"], ["window", "-", "--low", "1", "--high", "2"],
+                 ["decompose", "-", "--point", "2,2,2,0"], ["blowup", "-"]):
+        code, out, err = _run(argv, DEGENERATE)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: NotFullDimensional:"), (argv, err)
+    code, out, _ = _run(["check", "-", "--epsilon", "1/2", "--delta", "1/2"], DEGENERATE)
+    assert code == 0 and json.loads(out)["classification"] == "Degenerate"
+    code, out, _ = _run(["pi1", "-"], DEGENERATE)
+    assert code == 0 and json.loads(out)["free_rank"] == 1
+    with pytest.raises(ToricError):
+        t.make_germ(cone).rebased
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that collects one entry per call of linalg._eliminate."""
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+SIMPLICIAL_DOCS = [
+    {"dim": 2, "rays": [[1, 0], [1, 4]], "boundary": ["1/2", "0"]},
+    {"dim": 2, "rays": [[-1, 4], [1, 4]]},
+    {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 3]]},
+    {"dim": 3, "rays": [[0, 1, 0], [1, 0, 0], [1, 2, 5]], "boundary": ["0", "2/3", "1/2"]},
+    {"dim": 4, "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 5]], "boundary": ["0", "1/3", "0", "1/2"]},
+]
+
+
+@pytest.mark.parametrize("doc", SIMPLICIAL_DOCS, ids=[f"dim{doc['dim']}-{i}" for i, doc in enumerate(SIMPLICIAL_DOCS)])
+def test_one_elimination_per_command_on_simplicial_germs(doc, eliminations):
+    """On the standard lattice, make_cone's elimination of [rays | I] is
+    the only one: L, the box points and π₁ read the rest off the facets
+    and Hermite forms.  lattice_extra adds the rebased cone's."""
+    commands = [["mld", "-"], ["window", "-", "--low", "1", "--high", "2"], ["pi1", "-"],
+                ["check", "-", "--epsilon", "1/2", "--delta", "1/2"]]
+    extended = dict(doc, lattice_extra=[["1/2", "1/2"] + ["0"] * (doc["dim"] - 2)])
+    for argv in commands:
+        for d, expected in ((doc, 1), (extended, 1 if argv[0] == "pi1" else 2)):
+            eliminations.clear()
+            assert _run(argv, d)[0] == 0
+            assert len(eliminations) == expected, (argv, d)
+
+
+def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, eliminations):
+    """Each full-rank subtree test of the trichotomy's search reads rank U
+    and m's coordinates over U off one elimination of [U^T | m]; a U
+    with fewer than dim rays is refused without one.  Each cone has n + 1
+    rays, so no tested U has more than n rays and none builds a cone."""
+    counts = []
+    real = structure._subtree_hits
+
+    def counted(c, m, full, p, u):
+        before = len(eliminations)
+        hit = real(c, m, full, p, u)
+        if full:
+            counts.append((len(u) >= c.dim, len(eliminations) - before))
+        return hit
+
+    monkeypatch.setattr(structure, "_subtree_hits", counted)
+    cases = [
+        ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 0, 1), (1, 1, 4), (1, 0, 3)]),
+        ([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 0, 1), (0, 1, 1, 1)], [(2, 3, 2, 5), (1, 2, 1, 3)]),
+    ]
+    for rays, points in cases:
+        c = t.make_cone(len(rays[0]), rays)
+        assert len(c.rays) == c.n + 1
+        for m in points:
+            counts.clear()
+            t.trichotomy(c, m)
+            assert counts and all(n == (1 if long else 0) for long, n in counts), (rays, m, counts)
+            assert any(long for long, _ in counts)
