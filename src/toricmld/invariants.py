@@ -99,9 +99,11 @@ class ToricGerm:
 
     @cached_property
     def orbifold(self) -> LatticeBasis:
-        """Lattice generated by N and the rays/n_ray: the Hermite form of M N and
-        the M ray/n_ray with n_ray > 1, over M = lcm(N's denominator, n_ray)."""
+        """Lattice generated by N and the rays/n_ray: N when every n_ray is 1, else the Hermite
+        form of M N and the M ray/n_ray with n_ray > 1, over M = lcm(N's denominator, n_ray)."""
         ms = [multiplicity(b) for b in self.boundary]
+        if all(m == 1 for m in ms):
+            return self.lattice
         big, den = math.lcm(self.lattice.den, *ms), self.lattice.den
         rows = [[x * (big // den) for x in row] for row in self.lattice.num]
         rows += [[x * (big // m) for x in ray] for ray, m in zip(self.cone.rays, ms) if m > 1]
@@ -403,3 +405,14 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
     factors = snf(rows)
     nontrivial = tuple(d for d in factors if d > 1)
     return FiniteAbelianGroup(nontrivial, math.prod(factors), germ.dim - len(factors))
+
+
+def pi1_order(germ: ToricGerm) -> int:
+    """Order of the regional fundamental group, [O : <rays>] for the orbifold lattice O: the
+    product of the rays' Hermite diagonal over covol(O) = prod(diag O.num) / O.den^n, with no
+    coordinates and no Smith form.  Rays that do not span raise NotFullDimensional."""
+    n, o = germ.dim, germ.orbifold
+    diag = [row[i] for i, row in enumerate(linalg.hnf(germ.cone.rays)[:n])]
+    if len(diag) < n or 0 in diag:
+        raise NotFullDimensional("the cone does not span the ambient space")
+    return math.prod(diag) * o.den**n // math.prod(o.num[i][i] for i in range(n))

@@ -34,12 +34,15 @@ from .errors import (
     ZeroVector,
 )
 from .germio import format_q, germ_doc, parse_int, parse_q
-from .invariants import ToricGerm, make_germ, mld_window_counts, pi1_reg
+from .invariants import ToricGerm, make_germ, mld_window_counts, pi1_order
 from .linalg import identity, lattice_from_generators
 
 SCOPE_NOTE = "window counts cover toric divisorial valuations only"
 
 _COEFF_CHOICES = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+
+# the sampler draws up to this many vectors per attempt
+MAX_SAMPLER_RAYS = 32
 
 
 class _InstanceFields(NamedTuple):
@@ -92,7 +95,7 @@ def _check_germ(germ: ToricGerm, deltas: list[Fraction]):
         )
         return lambda inst: degenerate
     count_of = dict(zip(deltas, counts))
-    order = pi1_reg(germ).order
+    order = pi1_order(germ)
 
     def result(inst: ConjectureInstance) -> InstanceResult:
         ok = value > inst.epsilon
@@ -144,6 +147,8 @@ def _check_sampler(n: int, max_rays: int, coord_bound: int):
         raise BadParam(f"dimension {n} outside 2..5")
     if max_rays < n:
         raise BadParam("max_rays must be at least the dimension")
+    if max_rays > MAX_SAMPLER_RAYS:
+        raise BadParam(f"max_rays must be at most {MAX_SAMPLER_RAYS}")
     if coord_bound < 1:
         raise BadParam("coord_bound must be positive")
 

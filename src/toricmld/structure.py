@@ -41,7 +41,7 @@ from .cones import (
 )
 from .errors import DependentVectors, InternalError, NotFullDimensional, NotInteriorPoint
 from .germio import format_q
-from .invariants import ToricGerm, pi1_reg
+from .invariants import ToricGerm, pi1_order
 from .linalg import det, dot, express_in_basis, mat_vec, primitive, rank, solve_rational, transpose
 
 
@@ -312,9 +312,9 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
         k_values.append(sum(k * (1 - b) for k, b in zip(row, germ.boundary)) / math.gcd(*c))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
-    pi1_order = pi1_reg(germ).order
-    if coarse < pi1_order:
-        raise InternalError(f"coarse order {coarse} is below |pi1_reg| = {pi1_order}")
+    pi1 = pi1_order(germ)
+    if coarse < pi1:
+        raise InternalError(f"coarse order {coarse} is below |pi1_reg| = {pi1}")
     # den * ambient point of each c0, which make_cone takes to its primitive direction
     sigma0 = make_cone(n, [mat_vec(transpose(ob.num), c0) for c0 in prim_coords])
-    return BlowupReport(sigma0, tuple(k_values), group, coarse, pi1_order)
+    return BlowupReport(sigma0, tuple(k_values), group, coarse, pi1)

@@ -8,16 +8,21 @@ unchanged so the tests can compare the package with them and check the
 transforms themselves with ``mat_mul``, and the Smith-based
 ``saturation_basis``, a basis of span intersect Z^n that the package no
 longer needs: the tests use it to rebase lower-dimensional cones.
+``orbifold`` is the integer Hermite construction of the orbifold lattice
+that ``ToricGerm.orbifold`` skips when every n_ray is 1.
 Nothing in ``src/`` imports this module, and its checks raise rather
 than assert, so they hold under ``python -O`` too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from toricmld import linalg
 from toricmld.errors import InternalError
-from toricmld.linalg import IntVec, dot, identity, solve_rational, transpose, xgcd
+from toricmld.invariants import multiplicity
+from toricmld.linalg import IntVec, LatticeBasis, dot, identity, solve_rational, transpose, xgcd
 
 
 def mat_mul(a, b) -> tuple:
@@ -202,3 +207,15 @@ def saturation_basis(rows, n: int) -> tuple[IntVec, ...]:
         basis.append(tuple(x.numerator for x in row))
     h, _ = hnf(basis)
     return tuple(h[: res.rank])
+
+
+def orbifold(germ) -> LatticeBasis:
+    """Lattice generated by N and the rays/n_ray: the Hermite form of M N and
+    the M ray/n_ray with n_ray > 1, over M = lcm(N's denominator, n_ray)."""
+    ms = [multiplicity(b) for b in germ.boundary]
+    big, den = math.lcm(germ.lattice.den, *ms), germ.lattice.den
+    rows = [[x * (big // den) for x in row] for row in germ.lattice.num]
+    rows += [[x * (big // m) for x in ray] for ray, m in zip(germ.cone.rays, ms) if m > 1]
+    basis = linalg.hnf(rows)[: germ.dim]
+    g = math.gcd(big, *(x for row in basis for x in row))
+    return LatticeBasis(germ.dim, tuple(tuple(x // g for x in row) for row in basis), big // g)

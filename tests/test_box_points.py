@@ -10,8 +10,8 @@ import math
 from collections import Counter
 from fractions import Fraction as F
 
-from conftest import _box_volume
-from hypothesis import assume, given, settings
+from conftest import _box_volume, germs
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_reference
@@ -20,11 +20,9 @@ import toricmld as t
 from toricmld import invariants, oracle
 from toricmld.errors import BoundBelowMinimum, ToricError
 from toricmld.invariants import mld_window_counts
-from toricmld.linalg import hnf, rank
+from toricmld.linalg import hnf
 
-COEFFS = (F(0), F(1, 2), F(2, 3), F(3, 4))
 ORACLE_CAP = 2_000  # points in the oracle's search box
-DODECAGON = ((0, 0), (1, 0), (3, 1), (4, 2), (5, 4), (5, 5), (4, 6), (3, 6), (1, 5), (0, 4), (-1, 2), (-1, 1))
 
 
 def outcome(f, *args):
@@ -33,56 +31,6 @@ def outcome(f, *args):
         return f(*args)
     except ToricError as exc:
         return type(exc)
-
-
-@st.composite
-def germs(draw, min_dim=1):
-    """Germs in dims min_dim-5 of three kinds: simplicial cones over independent
-    vectors with a positive last coordinate and any boundary; cones at
-    height one over vertices of a lattice 12-gon (dim 3, up to 11 rays) or
-    of the unit cube (dims 4 and 5; at most 9 in dim 5, where the
-    reference's cascade grows fastest), whose one boundary coefficient on
-    every ray keeps them Q-Cartier; and sampler germs.  Some live in the
-    lattice Z^n + Z v/k, for a v that keeps every ray primitive."""
-    kind = draw(st.sampled_from(("height one", "simplicial", "sampler")))
-    n = draw(st.integers(max(min_dim, {"height one": 3, "simplicial": 1, "sampler": 2}[kind]), 5))
-    if kind == "sampler":
-        try:
-            germ = t.sample_random(n, n + 2, 2, draw(st.integers(0, 10**6)))
-        except t.ToricError:
-            assume(False)
-        cone, boundary = germ.cone, germ.boundary
-    elif kind == "height one":
-        # every vertex spans a ray
-        size = draw(st.integers(n + 1, {3: 11, 4: 8, 5: 9}[n]))
-        base = st.sampled_from(DODECAGON) if n == 3 else st.tuples(*[st.integers(0, 1)] * (n - 1))
-        pts = draw(st.lists(base, min_size=size, max_size=size, unique=True))
-        gens = [p + (1,) for p in pts]
-        assume(rank(gens) == n)
-        cone = t.make_cone(n, gens)
-        boundary = [draw(st.sampled_from(COEFFS))] * len(cone.rays)
-    else:
-        c = {1: 1, 2: 5, 3: 3, 4: 2, 5: 1}[n]
-        gens = [
-            tuple(draw(st.integers(-c, c)) for _ in range(n - 1)) + (draw(st.integers(1, c)),)
-            for _ in range(n)
-        ]
-        assume(rank(gens) == n)
-        cone = t.make_cone(n, gens)
-        boundary = [draw(st.sampled_from(COEFFS)) for _ in cone.rays]
-    lattice = None
-    # a ray r stays primitive in Z^n + Z v/k iff r is not j v mod k for any j
-    k = draw(st.sampled_from((1, 2, 3)))
-    extensions = [
-        v
-        for v in itertools.product(range(k), repeat=n)
-        if any(v)
-        and not any(all((x - j * y) % k == 0 for x, y in zip(r, v)) for r in cone.rays for j in range(k))
-    ]
-    if extensions:
-        v = draw(st.sampled_from(extensions))
-        lattice = t.lattice_from_generators(n, [tuple(F(x, k) for x in v)])
-    return t.make_germ(cone, boundary, lattice)
 
 
 def test_box_points_match_the_fm_reference_and_the_oracle():

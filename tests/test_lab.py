@@ -122,11 +122,16 @@ def test_sample_random_tiny_bound_orders():
             assert t.pi1_reg(g).order <= 2
 
 
-def test_sample_random_validation():
+def test_sample_random_validation(monkeypatch):
     with pytest.raises(BadParam):
         t.sample_random(1, 2, 3, seed=0)
     with pytest.raises(BadParam):
         t.sample_random(2, 1, 3, seed=0)
+    # a cap on max_rays, checked before the generator is seeded or drawn from
+    monkeypatch.setattr(lab.random, "Random", None)
+    for max_rays in (lab.MAX_SAMPLER_RAYS + 1, 10**9):
+        with pytest.raises(BadParam, match=f"max_rays must be at most {lab.MAX_SAMPLER_RAYS}"):
+            t.sample_random(3, max_rays, 3, seed=0)
 
 
 def test_scan_ex1_cells():
@@ -304,10 +309,12 @@ LADDER = {"name": "ex1", "param_range": [2, 1500]}
         ({"families": [{"name": "exx", "param_range": [3, 2]}], "grid": GRID}, "unknown family 'exx'"),
         ({"families": [{"name": ["ex1"], "param_range": [2, 2]}], "grid": GRID}, r"unknown family \['ex1'\]"),
         ({"sampler": dict(SAMPLER, max_rays=1), "grid": GRID}, "max_rays must be at least the dimension"),
+        ({"sampler": dict(SAMPLER, max_rays=10**9), "grid": GRID}, "max_rays must be at most 32"),
         ({"sampler": dict(SAMPLER, coord_bound=0), "grid": GRID}, "coord_bound must be positive"),
     ],
     ids=["ex1-low", "sampler-n", "unknown-after-ladder", "sampler-after-ladder", "ex4-after-ladder",
-         "unknown-empty-range", "unhashable-name", "sampler-max-rays", "sampler-coord-bound"],
+         "unknown-empty-range", "unhashable-name", "sampler-max-rays", "sampler-max-rays-cap",
+         "sampler-coord-bound"],
 )
 def test_germ_parameter_errors_come_before_any_germ(monkeypatch, spec, message):
     built = _counting_germ_builds(monkeypatch)
