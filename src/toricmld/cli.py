@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import lab, oracle, structure
 from .errors import ParseError, ToricError, ValidationError
-from .germio import coord_out, format_q, germ_doc, parse_germ, parse_rational
+from .germio import coord_out, format_q, germ_doc, load_json, parse_germ, parse_rational
 from .invariants import count_window, mld, pi1_reg
 
 
@@ -216,10 +216,7 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_scan(args) -> dict:
-    try:
-        spec = json.loads(_read_text(args.spec))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scan spec: line {exc.lineno}: {exc.msg}") from exc
+    spec = load_json(_read_text(args.spec), "scan spec: ", "line {0.lineno}")
     try:
         instances = lab.instances_from_spec(spec)
     except (KeyError, TypeError) as exc:

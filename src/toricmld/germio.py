@@ -21,8 +21,10 @@ def format_q(x) -> str:
 
 def coord_out(x):
     """Coordinate for JSON output: int when integral, else 'p/q'."""
-    f = x if type(x) is int else Fraction(x)
-    return int(f) if f.denominator == 1 else str(f)
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator if f.denominator == 1 else str(f)
 
 
 def parse_q(value, where: str) -> Fraction:
@@ -77,9 +79,9 @@ def parse_germ_doc(doc) -> ToricGerm:
     for i, row in enumerate(rays_field):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"rays[{i}] must be a list of {dim} integers")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(f"rays[{i}][{j}] must be an integer")
+        if not all(type(x) is int for x in row):
+            j = next(j for j, x in enumerate(row) if type(x) is not int)
+            raise ParseError(f"rays[{i}][{j}] must be an integer")
         rays.append(tuple(row))
     boundary = None
     if "boundary" in doc:
@@ -117,10 +119,19 @@ def parse_germ_doc(doc) -> ToricGerm:
     return make_germ(cone, boundary, lattice)
 
 
+def load_json(text: str, where: str = "", at: str = "line {0.lineno}, column {0.colno}"):
+    """The value of a JSON text; ParseError, prefixed by ``where``, for malformed JSON (at the
+    position ``at`` formats), an integer past the digit limit or nesting past the recursion limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}{at.format(exc)}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal with too many digits
+        raise ParseError(f"{where}{exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{where}JSON nested too deeply") from exc
+
+
 def parse_germ(text: str) -> ToricGerm:
     """Parse a UTF-8 JSON germ document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_germ_doc(doc)
+    return parse_germ_doc(load_json(text))

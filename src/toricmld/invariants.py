@@ -24,7 +24,7 @@ from itertools import compress
 from typing import NamedTuple, Sequence
 
 from . import cones, linalg
-from .cones import Cone, Membership, make_cone
+from .cones import Cone, Membership
 from .errors import (
     BoundBelowMinimum,
     CoefficientOutOfRange,
@@ -41,6 +41,7 @@ from .linalg import (
     LatticeBasis,
     dot,
     express_in_basis,
+    primitive,
     snf,
     vec_gcd,
 )
@@ -50,7 +51,7 @@ Point = tuple  # lattice point in ambient coordinates (ints or Fractions)
 
 class ToricGerm:
     """Toric singularity germ (cone, boundary, ambient lattice), with read-only
-    fields.  Its derived data is built on first use, kept on the germ and freed with it."""
+    fields.  Its derived data is built at most once, kept on the germ and freed with it."""
 
     def __init__(self, cone: Cone, boundary: tuple[Fraction, ...], lattice: LatticeBasis):
         self.__dict__.update(cone=cone, boundary=boundary, lattice=lattice, _key=(cone, boundary, lattice))
@@ -76,13 +77,13 @@ class ToricGerm:
         """The germ in coordinates of N, with L(ray) = 1 - coeff there: the
         sum of (1 - b_i) f_i / (f_i . r_i) for a simplicial cone, f_i the
         facet opposite r_i, else solved.  No solution means K is not
-        Q-Cartier at the point; many, that the cone is not full-dimensional."""
-        rays, cone = self.cone.rays, self.cone
+        Q-Cartier at the point; many, that the cone is not full-dimensional.
+        The cone is mapped, not rebuilt: its rays are ``coords``, in order (N's basis is upper
+        triangular), and a facet f becomes primitive(num f), as f . x = (num f) . c / den."""
+        rays, cone = self.coords, self.cone
         if not self.lattice.is_standard:
-            rays = [express_in_basis(self.lattice, ray) for ray in rays]
-            if None in rays:
-                raise InternalError("a ray of a validated germ is not a point of N")
-            cone = make_cone(self.dim, rays)  # N's basis keeps the rays in order
+            facets = [primitive(linalg.mat_vec(self.lattice.num, f)) for f in cone.facets]
+            cone = Cone(cone.n, rays, tuple(facets if cones.has_opposite_facets(cone) else sorted(facets)), cone.dim)
         if cones.has_opposite_facets(cone):
             # (1 - b_i) / (f_i . r_i) = p_i / q_i, over the common denominator den
             pq = [(b.denominator - b.numerator, b.denominator * dot(f, r)) for b, f, r in zip(self.boundary, cone.facets, rays)]
@@ -96,6 +97,14 @@ class ToricGerm:
                 raise NotFullDimensional("the cone does not span the ambient space")
         g = math.gcd(den, *l_num)
         return Rebased(cone, tuple(x // g for x in l_num), den // g)
+
+    @cached_property
+    def coords(self) -> tuple:
+        """The rays' coordinates in N's basis, the rays themselves on the
+        standard lattice; None for a ray that is not a point of N."""
+        if self.lattice.is_standard:
+            return self.cone.rays
+        return tuple(express_in_basis(self.lattice, ray) for ray in self.cone.rays)
 
     @cached_property
     def orbifold(self) -> LatticeBasis:
@@ -125,7 +134,7 @@ def make_germ(
         raise ValidationError("lattice dimension does not match the cone")
     if boundary is None:
         boundary = [Fraction(0)] * len(cone.rays)
-    coeffs = tuple(Fraction(b) for b in boundary)
+    coeffs = tuple(b if type(b) is Fraction else Fraction(b) for b in boundary)
     if len(coeffs) != len(cone.rays):
         raise ValidationError(
             f"{len(coeffs)} boundary coefficients for {len(cone.rays)} rays"
@@ -133,13 +142,13 @@ def make_germ(
     for b in coeffs:
         if not (0 <= b < 1):
             raise ValidationError(f"boundary coefficient {b} outside [0, 1)")
-    for ray in cone.rays:
-        c = express_in_basis(lattice, ray)
+    germ = ToricGerm(cone, coeffs, lattice)
+    for ray, c in zip(cone.rays, germ.coords):
         if c is None:
             raise ValidationError(f"ray {ray} is not a lattice point of N")
         if vec_gcd(c) != 1:
             raise ValidationError(f"ray {ray} is not primitive in the ambient lattice")
-    return ToricGerm(cone, coeffs, lattice)
+    return germ
 
 
 def multiplicity(coeff) -> int:

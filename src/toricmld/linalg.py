@@ -35,10 +35,7 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return g
+    return math.gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> IntVec:
@@ -46,10 +43,12 @@ def primitive(v: Sequence[int]) -> IntVec:
 
     The result points in the same direction and has coordinate gcd 1.
     """
-    g = vec_gcd(v)
+    g = math.gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ZeroVector("the zero vector has no primitive generator")
-    return tuple(int(x) // g for x in v)
+    return tuple(x // g for x in v)
 
 
 # ---------------------------------------------------------------------------

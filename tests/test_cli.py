@@ -271,6 +271,26 @@ def test_cli_scan_spec_validation(tmp_path, spec, message):
     assert re.search(message, err)
 
 
+MALFORMED_JSON = {
+    "too-many-digits": '{"dim": 2, "rays": [[1, %s], [0, 1]]}' % ("9" * 5000),
+    "too-deep": "[" * 200_000 + "]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+@pytest.mark.parametrize("command", ["mld", "scan"])
+def test_cli_malformed_json_is_a_parse_error(tmp_path, command, name):
+    """An integer literal past the interpreter's digit limit and nesting
+    past its recursion limit end in a ParseError, for a germ document and
+    for a scan spec alike, with neither limit raised."""
+    path = tmp_path / "doc.json"
+    path.write_text(MALFORMED_JSON[name])
+    argv = ["mld", str(path)] if command == "mld" else ["scan", "--spec", str(path)]
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err[:200]
+
+
 def test_cli_scan_grid_out_of_range_without_germs(tmp_path):
     """The grid is checked with the spec, even when there is no germ."""
     spec_path = tmp_path / "spec.json"

@@ -294,3 +294,35 @@ def test_derived_data_keeps_the_error_types():
     with pytest.raises(NotFullDimensional):
         t.mld(flat)
     assert t.pi1_reg(flat).free_rank == 1
+
+
+def test_invariants_are_gl_n_z_equivariant_on_drawn_germs():
+    """A unimodular transform of the rays and of lattice_extra leaves the
+    mld, the window count over [mld, mld + 1/2), π₁'s invariant factors
+    and its order unchanged; boundaries, extended lattices and cones with
+    at least n + 2 rays all occur."""
+    from collections import Counter
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from conftest import germs, random_unimodular, transform_germ
+
+    seen = Counter()
+
+    def invariants(germ):
+        m = t.mld(germ).value
+        group = t.pi1_reg(germ)
+        return m, t.count_window(germ, m, m + F(1, 2)).count, group.invariant_factors, t.pi1_order(germ)
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(germs(min_dim=2), st.integers(0, 2**32))
+    def check(germ, seed):
+        image = transform_germ(germ, random_unimodular(germ.dim, random.Random(seed)))
+        assert invariants(image) == invariants(germ)
+        seen["boundary"] += any(germ.boundary)
+        seen["extended lattice"] += not germ.lattice.is_standard
+        seen["n + 2 rays"] += len(germ.cone.rays) >= germ.dim + 2
+
+    check()
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,42 @@ def test_primitive_idempotent_and_scale_invariant(v, k):
     p = primitive(v)
     assert primitive(p) == p
     assert primitive([k * x for x in v]) == p
+
+
+def _gcd_by_loop(v) -> int:
+    g = 0
+    for x in v:
+        g = math.gcd(g, abs(x))
+    return g
+
+
+VECTORS = [(), (0,), (0, 0, 0), (7,), (-7,), (-4, 6), (0, -5, 10), (3, 5), (-1, 0), (2**70, -(2**71))]
+
+
+@pytest.mark.parametrize("v", VECTORS, ids=map(str, VECTORS))
+def test_vec_gcd_and_primitive_match_a_loop(v):
+    """vec_gcd is math.gcd over the entries, and primitive divides by it,
+    returning the entries themselves, as ints, when it is 1; the empty and
+    the zero vectors have gcd 0 and no primitive generator."""
+    g = _gcd_by_loop(v)
+    assert linalg.vec_gcd(v) == g
+    assert linalg.vec_gcd(list(v)) == g
+    if g == 0:
+        with pytest.raises(ZeroVector):
+            primitive(v)
+        return
+    p = primitive(list(v))
+    assert type(p) is tuple and p == tuple(x // g for x in v)
+    assert all(type(x) is int for x in p)
+
+
+@given(st.lists(st.integers(-60, 60), max_size=6))
+def test_vec_gcd_and_primitive_match_a_loop_on_drawn_vectors(v):
+    g = _gcd_by_loop(v)
+    assert linalg.vec_gcd(v) == g
+    if g:
+        p = primitive(v)
+        assert p == tuple(x // g for x in v) and all(type(x) is int for x in p)
 
 
 def _check_snf(a):

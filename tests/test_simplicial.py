@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import elim_reference as ref
 from conftest import height_cone_germ, oracle_corpus
 import toricmld as t
-from toricmld import cli, invariants, linalg, structure
+from toricmld import cli, cones, invariants, linalg, structure
 from toricmld.errors import ToricError, ValidationError
 from toricmld.linalg import primitive, rank
 
@@ -195,19 +195,56 @@ SIMPLICIAL_DOCS = [
 ]
 
 
+COMMANDS = [["mld", "-"], ["window", "-", "--low", "1", "--high", "2"], ["pi1", "-"],
+            ["check", "-", "--epsilon", "1/2", "--delta", "1/2"]]
+
+
+def _half_extra(n):
+    """lattice_extra (1/2, 1/2, 0, ...), which keeps every ray of these documents primitive."""
+    return [["1/2", "1/2"] + ["0"] * (n - 2)]
+
+
 @pytest.mark.parametrize("doc", SIMPLICIAL_DOCS, ids=[f"dim{doc['dim']}-{i}" for i, doc in enumerate(SIMPLICIAL_DOCS)])
 def test_one_elimination_per_command_on_simplicial_germs(doc, eliminations):
-    """On the standard lattice, make_cone's elimination of [rays | I] is
-    the only one: L, the box points and π₁ read the rest off the facets
-    and Hermite forms.  lattice_extra adds the rebased cone's."""
-    commands = [["mld", "-"], ["window", "-", "--low", "1", "--high", "2"], ["pi1", "-"],
-                ["check", "-", "--epsilon", "1/2", "--delta", "1/2"]]
-    extended = dict(doc, lattice_extra=[["1/2", "1/2"] + ["0"] * (doc["dim"] - 2)])
-    for argv in commands:
-        for d, expected in ((doc, 1), (extended, 1 if argv[0] == "pi1" else 2)):
+    """make_cone's elimination of [rays | I] is the only one: L, the box
+    points and π₁ read the rest off the facets and Hermite forms, and
+    with lattice_extra the rebased cone is mapped from the parsed one."""
+    for argv in COMMANDS:
+        for d in (doc, dict(doc, lattice_extra=_half_extra(doc["dim"]))):
             eliminations.clear()
             assert _run(argv, d)[0] == 0
-            assert len(eliminations) == expected, (argv, d)
+            assert len(eliminations) == 1, (argv, d)
+
+
+def _calls(run, *funcs):
+    """run() and the number of calls of each function, counted by code
+    object, so that every module's imported name counts as well."""
+    codes = {f.__code__: f.__name__ for f in funcs}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+@pytest.mark.parametrize("doc", SIMPLICIAL_DOCS + [{"dim": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]}],
+                         ids=[f"dim{doc['dim']}-{i}" for i, doc in enumerate(SIMPLICIAL_DOCS)] + ["square"])
+def test_a_lattice_extended_command_builds_its_cone_once(doc):
+    """With lattice_extra, mld, window and check build the cone once, at
+    parsing, and express each ray in N once, in make_germ: the rebased
+    cone maps the parsed one's facets and reuses the germ's coordinates."""
+    d = dict(doc, lattice_extra=_half_extra(doc["dim"]))
+    for argv in [a for a in COMMANDS if a[0] != "pi1"]:  # pi1 also expresses the rays in O
+        (code, _, err), counts = _calls(lambda: _run(argv, d), cones.make_cone, linalg.express_in_basis)
+        assert code == 0, (argv, err)
+        assert counts == {"make_cone": 1, "express_in_basis": len(d["rays"])}, (argv, counts)
 
 
 def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, eliminations):
