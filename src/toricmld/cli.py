@@ -216,7 +216,7 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_scan(args) -> dict:
-    spec = load_json(_read_text(args.spec), "scan spec: ", "line {0.lineno}")
+    spec = load_json(_read_text(args.spec), "scan spec: ")
     try:
         instances = lab.instances_from_spec(spec)
     except (KeyError, TypeError) as exc:

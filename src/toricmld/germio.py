@@ -7,6 +7,7 @@ a document is ever a binary float.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .cones import make_cone
@@ -119,15 +120,15 @@ def parse_germ_doc(doc) -> ToricGerm:
     return make_germ(cone, boundary, lattice)
 
 
-def load_json(text: str, where: str = "", at: str = "line {0.lineno}, column {0.colno}"):
-    """The value of a JSON text; ParseError, prefixed by ``where``, for malformed JSON (at the
-    position ``at`` formats), an integer past the digit limit or nesting past the recursion limit."""
+def load_json(text: str, where: str = ""):
+    """The value of a JSON text; ParseError, prefixed by ``where``, for malformed JSON (at its
+    line and column), an integer past the digit limit or nesting past the recursion limit."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}{at.format(exc)}: {exc.msg}") from exc
+        raise ParseError(f"{where}line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal with too many digits
-        raise ParseError(f"{where}{exc}") from exc
+        raise ParseError(f"{where}an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise ParseError(f"{where}JSON nested too deeply") from exc
 

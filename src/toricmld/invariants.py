@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Sequence
@@ -373,16 +373,55 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     with log discrepancy in [mld, mld + delta).
 
     Equal to ``mld(germ).value`` and ``count_window(germ, m, m + delta).count``
-    for each delta.  The mld is the least value over the box points, and
-    one lift of them up to mld + max(deltas) gives every count.
+    for each delta.  In dimension 2 the points are counted, not listed
+    (``_plane_counter``), and the mld numerator is the least k with a point
+    of numerator <= k, found by bisection below L(ray sum).  Otherwise the
+    mld is the least value over the box points, and one lift of them up to
+    mld + max(deltas) gives every count.
     """
     rb = germ.rebased
-    cells = list(_box_points(rb))
-    m = min(min(values) for *_, values in cells)
+    if germ.dim == 2:
+        count = _plane_counter(rb)
+        m, hi = 1, rb.ray_sum_value()
+        while m < hi:
+            mid = (m + hi) // 2
+            m, hi = (m, mid) if count(mid) else (mid + 1, hi)
+    else:
+        cells = list(_box_points(rb))
+        m = min(min(values) for *_, values in cells)
     # the largest numerator inside [m, m + delta)
     tops = [m + math.ceil(Fraction(d) * rb.den) - 1 for d in deltas]
-    values = sorted(_lifted_values(cells, max(tops))) if tops else []
-    return Fraction(m, rb.den), tuple(bisect.bisect_right(values, top) for top in tops)
+    if germ.dim != 2:
+        values = sorted(_lifted_values(cells, max(tops))) if tops else []
+        count = partial(bisect.bisect_right, values)
+    return Fraction(m, rb.den), tuple(map(count, tops))
+
+
+def _plane_counter(rb: Rebased):
+    """For a 2-dimensional germ, count(k): the number of interior lattice
+    points of L numerator <= k, in O(log) steps.
+
+    For r1 = (p, q) and u p + v q = 1 (``xgcd``), the rows (q, -p), (u, v)
+    send r1 to (0, 1) and r2 to (-det, y); a reflection of x when -det < 0
+    and a shear y -> y + jx give (r, -a), r = |det| and a = -y mod r: the
+    Hirzebruch-Jung normal form.  The interior points are then the (x, y)
+    with x >= 1 and s = ry + ax >= 1, of numerator (s l1 + x l2) / r, for
+    l_i = L(r_i).  At each x, y runs from ceil((1 - ax) / r) up to
+    floor((kr - x(l2 + a l1)) / (r l1)), a run of length >= 0 iff
+    x <= (kr - l1) / l2, so the count is two floor sums.
+    """
+    (p, q), (x2, y2) = rb.cone.rays
+    l1, l2 = (dot(rb.l_num, ray) for ray in rb.cone.rays)
+    _, u, v = linalg.xgcd(p, q)
+    r = abs(q * x2 - p * y2)
+    a = -(u * x2 + v * y2) % r
+    c = l2 + a * l1
+
+    def count(k: int) -> int:
+        n = max(0, (k * r - l1) // l2)  # the columns x = 1, ..., n hold the points
+        return n + linalg.floor_sum(n, r * l1, -c, k * r - c) + linalg.floor_sum(n, r, a, a - 1)
+
+    return count
 
 
 def log_discrepancy_at(germ: ToricGerm, u: Sequence) -> Fraction:

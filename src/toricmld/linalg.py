@@ -250,6 +250,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum of floor((a*i + b) / m) over 0 <= i < n, for m >= 1 and any a, b, in O(log m)
+    steps: whole multiples of m come out of a and b, and the rest counts the lattice points
+    under the line, which are the sum with the roles of a and m swapped (Euclid)."""
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
+
+
 def hnf(a) -> tuple[IntVec, ...]:
     """Row Hermite normal form H of an integer matrix, of a's shape: row
     style, pivots positive, entries above a pivot reduced into [0, pivot),

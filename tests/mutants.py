@@ -1,0 +1,147 @@
+"""Standing mutation check: ``python3 tests/mutants.py``.
+
+Each row of ``MUTANTS`` names a module of ``src/toricmld``, an exact text
+in it, the text that replaces it, and the test ids that must fail once it
+is replaced.  The script copies ``src/`` to a temporary directory, checks
+that the named tests pass on the clean copy, and then, for each row,
+applies that one replacement to a fresh copy and runs the row's tests in a
+subprocess with ``PYTHONPATH`` pointing at it.  It exits 1 when a row's old
+text is missing or found more than once (the table must follow a refactor
+in the same change), or when a mutant survives: some named test does not
+fail.  pytest is not told about this file (it is not ``test_*.py``),
+because it starts one interpreter per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    module: str  # file name under src/toricmld
+    old: str
+    new: str
+    tests: tuple[str, ...]  # node ids, relative to the repository root
+    why: str
+
+
+PI1 = "tests/test_pi1.py::"
+REBASE = "tests/test_rebase.py::test_mapped_rebasing_matches_the_solve_on_drawn_germs"
+COUNTING = "tests/test_counting_2d.py::test_counting_agrees_with_the_box_points_on_drawn_germs"
+CLOSED_FORMS = "tests/test_counting_2d.py::test_closed_forms_of_ex1_and_ex2"
+
+MUTANTS = (
+    # the decomposition's rows (coefficients over the germ's own rays)
+    Mutant("structure.py", "cols = transpose(germ.cone.rays)", "cols = transpose(rb.cone.rays)",
+           ("tests/test_structure.py::test_decompose_agrees_with_the_vectors_and_grids_reference",),
+           "final vectors from the rebased rays"),
+    # the pruned subset search
+    Mutant("structure.py", "if len(u) < k and not _subtree_hits(c, m, full, p, u):", "if False:",
+           ("tests/test_structure.py::test_cross_polytope_search_is_quadratic",),
+           "subset search without pruning"),
+    Mutant("structure.py", " and all(x > 0 for x in y[: len(p)])", "",
+           ("tests/test_structure.py::test_lazy_subset_search_agrees_with_eager_reference",),
+           "any-rank subtree test without the P condition"),
+    Mutant("structure.py", "return all(dot(f, r) == 0 for f in facets if dot(f, m) == 0 for r in rays[: len(p)])",
+           "return True",
+           ("tests/test_structure.py::test_first_subset_agrees_with_the_walk",),
+           "any-rank subtree test without the face condition"),
+    # lower-dimensional cones
+    Mutant("cones.py", "at = {j: k for k, j in enumerate(pivots)}", "at = {j: k for k, j in enumerate(range(len(pivots)))}",
+           ("tests/test_cones.py::test_lower_dimensional_cones_match_the_hermite_reference",),
+           "facet normals on the first coordinates, not the pivots"),
+    # simplicial fast paths
+    Mutant("cones.py", "return c.dim == c.n == len(c.rays)", "return c.n == len(c.rays)",
+           ("tests/test_simplicial.py::test_a_rank_three_cone_with_four_rays_in_q4_is_not_full_dimensional",),
+           "has_opposite_facets without the dimension check"),
+    Mutant("linalg.py", "return self.den == 1 and self.num == identity(self.dim)", "return self.num == identity(self.dim)",
+           ("tests/test_elim.py::test_express_in_basis_matches_the_reference",),
+           "is_standard without the denominator check"),
+    Mutant("invariants.py", "closed = next(x for x in (dot(wi, y), *wi) if x) < 0",
+           "closed = next(x for x in (dot(wi, y), *wi) if x) > 0",
+           ("tests/test_box_points.py::test_box_points_match_the_fm_reference_and_the_oracle",),
+           "half-open cells close the wrong facets"),
+    # the group order and invariant factors
+    Mutant("linalg.py", "            g = math.gcd(d[i], d[j])\n            d[i], d[j] = g, d[i] * d[j] // g\n",
+           "            pass\n",
+           (PI1 + "test_pi1_matches_the_group_listing",),
+           "snf without the gcd/lcm chain"),
+    Mutant("invariants.py", "* o.den**n //", "//",
+           (PI1 + "test_pi1_order_of_the_extended_orthant",),
+           "pi1_order without covol's O.den ** n"),
+    Mutant("invariants.py", "if all(m == 1 for m in ms):", "if True:",
+           (PI1 + "test_pi1_order_and_the_orbifold_short_cut_match_the_slow_paths",),
+           "the orbifold short cut always taken"),
+    # rebasing maps the parsed cone
+    Mutant("invariants.py", "facets if cones.has_opposite_facets(cone) else sorted(facets)", "facets",
+           (REBASE,), "rebased facets left unsorted"),
+    Mutant("invariants.py", "linalg.mat_vec(self.lattice.num, f)", "linalg.mat_vec(linalg.transpose(self.lattice.num), f)",
+           (REBASE,), "facets mapped by the transpose of N's basis"),
+    # the dimension-2 counting path
+    Mutant("invariants.py", "r = abs(q * x2 - p * y2)", "r = q * x2 - p * y2",
+           (COUNTING,), "normal form without the reflection"),
+    Mutant("invariants.py", "n = max(0, (k * r - l1) // l2)", "n = max(0, (k * r - l1) // l2 + 1)",
+           (COUNTING,), "one column past the last x"),
+    Mutant("invariants.py", "a = -(u * x2 + v * y2) % r", "a = (u * x2 + v * y2) % r",
+           (COUNTING, CLOSED_FORMS), "a = Y mod r, not -Y mod r"),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="toricmld-mutants-") as tmp:
+        clean = _copy_src(Path(tmp) / "clean")
+        probe = subprocess.run([sys.executable, "-c", "import toricmld; print(toricmld.__file__)"],
+                               env=dict(os.environ, PYTHONPATH=str(clean)), capture_output=True, text=True)
+        if not probe.stdout.startswith(str(clean)):
+            print(f"the copy is not the package imported: {probe.stdout.strip() or probe.stderr}")
+            return 1
+        every = sorted({t for m in MUTANTS for t in m.tests})
+        base = _pytest(clean, every)
+        if base.returncode != 0:
+            print("the named tests do not pass on the unchanged sources:\n" + base.stdout[-3000:])
+            return 1
+        for i, m in enumerate(MUTANTS):
+            start = time.monotonic()
+            src = _copy_src(Path(tmp) / f"m{i}")
+            path = src / "toricmld" / m.module
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                problems.append(f"{m.module}: the old text of '{m.why}' occurs {text.count(m.old)} times")
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            # pytest exits 1 when tests fail, and otherwise for a pass or a broken run
+            survived = [t for t in m.tests if _pytest(src, [t]).returncode != 1]
+            status = "SURVIVED" if survived else "killed"
+            print(f"{status:8} {m.module:14} {m.why} ({time.monotonic() - start:.1f} s)")
+            if survived:
+                problems.append(f"{m.module}: '{m.why}' passes or breaks {', '.join(survived)}")
+    for p in problems:
+        print("error:", p)
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

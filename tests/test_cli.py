@@ -289,6 +289,25 @@ def test_cli_malformed_json_is_a_parse_error(tmp_path, command, name):
     code, out, err = run(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err[:200]
+    assert "sys." not in err, err[:200]
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [('{"dim":', "line 1, column 8"), ('{"dim": 2,\n  "rays": [[1, 0],, [0, 1]]}\n', "line 2, column 19")],
+    ids=["truncated", "stray-comma"],
+)
+@pytest.mark.parametrize("command", ["mld", "scan"])
+def test_cli_malformed_json_reports_line_and_column(tmp_path, command, text, at):
+    """A germ document and a scan spec report a JSON syntax error at the
+    same line and column, the spec's with a "scan spec: " prefix."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = ["mld", str(path)] if command == "mld" else ["scan", "--spec", str(path)]
+    prefix = "scan spec: " if command == "scan" else ""
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: ParseError: {prefix}{at}: [A-Z][^\n]*\n", err), err
 
 
 def test_cli_scan_grid_out_of_range_without_germs(tmp_path):

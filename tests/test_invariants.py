@@ -298,31 +298,46 @@ def test_derived_data_keeps_the_error_types():
 
 def test_invariants_are_gl_n_z_equivariant_on_drawn_germs():
     """A unimodular transform of the rays and of lattice_extra leaves the
-    mld, the window count over [mld, mld + 1/2), π₁'s invariant factors
-    and its order unchanged; boundaries, extended lattices and cones with
-    at least n + 2 rays all occur."""
+    mld, the window count over [mld, mld + 1/2), ``mld_window_counts``,
+    π₁'s invariant factors and its order unchanged, and ``decompose`` at
+    the image's ray sum passes ``_validate_decomposition``; boundaries,
+    extended lattices, cones with at least n + 2 rays and transforms of
+    determinant -1 (in dimension 2 too, which flips the counting path's
+    orientation) all occur.  k0 is not compared: the transform reorders
+    the rays."""
     from collections import Counter
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     from conftest import germs, random_unimodular, transform_germ
+    from toricmld.invariants import mld_window_counts
+    from toricmld.linalg import det
+    from toricmld.structure import _validate_decomposition
 
     seen = Counter()
+    deltas = (F(1, 4), F(1, 2), F(3, 4))
 
     def invariants(germ):
         m = t.mld(germ).value
         group = t.pi1_reg(germ)
-        return m, t.count_window(germ, m, m + F(1, 2)).count, group.invariant_factors, t.pi1_order(germ)
+        return (m, t.count_window(germ, m, m + F(1, 2)).count, mld_window_counts(germ, deltas),
+                group.invariant_factors, t.pi1_order(germ))
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(germs(min_dim=2), st.integers(0, 2**32))
     def check(germ, seed):
-        image = transform_germ(germ, random_unimodular(germ.dim, random.Random(seed)))
+        mat = random_unimodular(germ.dim, random.Random(seed))
+        image = transform_germ(germ, mat)
         assert invariants(image) == invariants(germ)
+        m = tuple(map(sum, zip(*image.cone.rays)))
+        _validate_decomposition(image, m, t.decompose(image, m))
         seen["boundary"] += any(germ.boundary)
         seen["extended lattice"] += not germ.lattice.is_standard
         seen["n + 2 rays"] += len(germ.cone.rays) >= germ.dim + 2
+        flipped = det(mat) == -1
+        seen["det -1"] += flipped
+        seen["dim 2, det -1"] += flipped and germ.dim == 2
 
     check()
-    assert len(seen) == 3 and min(seen.values()) >= 10, seen
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen

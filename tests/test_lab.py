@@ -226,17 +226,23 @@ def test_check_instances_matches_per_instance_path(monkeypatch):
     instances = [t.ConjectureInstance(g, eps, delta) for g in germs for eps, delta in grid]
 
     enumerations = []
-    real = invariants._lifted_values
+    real_lift, real_counter = invariants._lifted_values, invariants._plane_counter
 
-    def counting(cells, b_num):
+    def lifting(cells, b_num):
         enumerations.append(b_num)
-        return real(cells, b_num)
+        return real_lift(cells, b_num)
 
-    monkeypatch.setattr(invariants, "_lifted_values", counting)
+    def counter(rb):
+        enumerations.append(rb)
+        return real_counter(rb)
+
+    monkeypatch.setattr(invariants, "_lifted_values", lifting)
+    monkeypatch.setattr(invariants, "_plane_counter", counter)
     fast = t.scan(instances).to_doc()
     monkeypatch.undo()
 
-    # one lift per germ, up to mld + max(deltas); none for the degenerate germ
+    # one lift per germ of dimension 3 and up, to mld + max(deltas), and one
+    # counter per plane germ; none for the degenerate germ
     assert len(enumerations) == len(set(germs)) - 1
     assert fast == _fold_per_instance(instances).to_doc()
     assert t.scan(reversed(instances)).to_doc() == fast
