@@ -7,12 +7,11 @@ it starts from the simplicial cone of n independent generators and adds
 the others one inequality at a time.  Extremality is read off its
 tight-row bitmasks and membership off the facets.  Exactly n
 independent generators skip it: their dual basis, from one elimination,
-is the whole dual description, facet i opposite ray i.  Relative interiors of ray subsets take one linear solve,
-and the facets only when the rays are dependent.  A cone that does not
-span the ambient space keeps its rays in ambient coordinates; its dual
-description is computed on the pivot coordinates of its span, onto
-which the span projects one to one, and its facet normals are supported
-there.
+is the whole dual description, facet i opposite ray i.  A cone that
+does not span the ambient space keeps its rays in ambient coordinates;
+its dual description is computed on the pivot coordinates of its span,
+onto which the span projects one to one, and its facet normals are
+supported there.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
+from .errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError
 from .linalg import IntVec, dot, primitive, rank, transpose
 
 
@@ -184,33 +183,6 @@ def membership(c: Cone, v: Sequence) -> Membership:
     if any(x == 0 for x in vals):
         return Membership.BOUNDARY
     return Membership.RELATIVE_INTERIOR
-
-
-def in_relint(rays: Sequence[Sequence], v: Sequence, dim: int | None = None) -> bool:
-    """Is v in the relative interior of the cone the rays span, and, given
-    ``dim``, do the rays span a space of that dimension?
-
-    One elimination decides most cases: v outside the span of the rays
-    is not in the cone, and for independent rays (a simplicial cone) v is
-    interior iff its coordinates are all positive.  Only dependent rays
-    build the cone and ask the facets.
-
-    A zero ray raises ZeroVector.  The rays must span a strongly convex
-    cone, as the subsets of a cone's rays that the full-rank test of the
-    trichotomy's subset search passes do; rays that
-    contain a line raise NotStronglyConvex, but only when v lies in their
-    span (otherwise the answer is False without building the cone).
-    """
-    if not rays:
-        return not dim and all(x == 0 for x in v)
-    if not all(any(r) for r in rays):
-        raise ZeroVector("the zero vector has no primitive generator")
-    r, _, y = linalg.solve_scaled(transpose(rays), v)
-    if y is linalg.INCONSISTENT or dim not in (None, r):
-        return False
-    if y is not linalg.UNDERDETERMINED:
-        return all(x > 0 for x in y)
-    return membership(make_cone(len(v), rays), v) is Membership.RELATIVE_INTERIOR
 
 
 def is_simplicial(c: Cone) -> bool:

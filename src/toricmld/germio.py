@@ -7,6 +7,7 @@ a document is ever a binary float.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -38,10 +39,14 @@ def parse_q(value, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
+# one grammar on every interpreter, though Fraction's differs: ASCII digits,
+# no "_" and no exponent, as Fraction("1e-3000000") would have millions of digits
+_RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
+
+
 def parse_rational(text: str, where: str = "") -> Fraction:
-    """The rational a string "p/q", integer or decimal names.  Any other string raises
-    ParseError, an exponent too: Fraction("1e-3000000") would have millions of digits."""
-    if "e" not in text.lower():
+    """The rational a string "p/q", integer or decimal names; any other string raises ParseError."""
+    if _RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):

@@ -33,7 +33,6 @@ from .cones import (
     Cone,
     Membership,
     has_opposite_facets,
-    in_relint,
     is_simplicial,
     make_cone,
     membership,
@@ -90,26 +89,27 @@ def _subtree_hits(c: Cone, m, full: bool, p, u) -> bool:
     """Does some S with p <= S <= u (index tuples into c.rays) have m in
     the relative interior of cone(S), with rank S = c.dim when full?
 
-    Full: iff rank u = c.dim and m is in relint cone(u), as relative
-    interiors grow with the cone in a fixed span.  Any rank: iff m is in
-    cone(u) and p lies in the minimal face of cone(u) containing m, since
-    a face that contains a positive combination contains every term of
-    it; S is then the rays of that face.  One elimination of [u^T | m]
-    reads rank u and the signs of m's coordinates over u; only a
-    dependent u builds its cone."""
-    rays = [c.rays[i] for i in u]
-    if full:
-        return len(u) >= c.dim and in_relint(rays, m, c.dim)
-    _, _, y = linalg.solve_scaled(transpose(rays), m)  # y = d x, d > 0: the signs of m's coordinates
-    if y is linalg.INCONSISTENT:
+    Any rank: iff m is in cone(u) and p lies in the minimal face of
+    cone(u) containing m, since a face that contains a positive
+    combination contains every term of it; S is then the rays of that
+    face.  Full: the same with p := u, as relative interiors grow with
+    the cone in a fixed span, and rank u = c.dim.  One elimination of
+    [u^T | m] reads rank u and the signs of m's coordinates over u; only
+    a dependent u builds its cone."""
+    if full and len(u) < c.dim:
         return False
+    rays = [c.rays[i] for i in u]
+    dim_u, _, y = linalg.solve_scaled(transpose(rays), m)  # y = d x, d > 0: the signs of m's coordinates
+    if y is linalg.INCONSISTENT or full and dim_u != c.dim:
+        return False
+    k = len(u) if full else len(p)
     if y is not linalg.UNDERDETERMINED:
-        return all(x >= 0 for x in y) and all(x > 0 for x in y[: len(p)])
+        return all(x >= 0 for x in y) and all(x > 0 for x in y[:k])
     # u lists p first, and its rays are the extremal rays of their cone
     facets = make_cone(c.n, rays).facets
     if any(dot(f, m) < 0 for f in facets):
         return False
-    return all(dot(f, r) == 0 for f in facets if dot(f, m) == 0 for r in rays[: len(p)])
+    return all(dot(f, r) == 0 for f in facets if dot(f, m) == 0 for r in rays[:k])
 
 
 def _first_subset(c: Cone, m, full: bool):
@@ -187,7 +187,7 @@ def _trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
         raise InternalError("a non-simplicial cone always admits such a sub-cone")
     tau1 = make_cone(c.n, [c.rays[i] for i in idx])
     while True:
-        rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > rank(tau1.rays))
+        rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > tau1.dim)
         tau2 = _tau_containing_ray(c, m, rho)
         if tau2.dim >= c.dim:
             raise InternalError("a sub-cone through a boundary face is full-dimensional")

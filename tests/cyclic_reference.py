@@ -10,7 +10,13 @@ that point plus a vector of nonnegative integers.  With no boundary, L
 is the coordinate sum, so the least value of coset k is the age-like sum
 s_k = sum_i {k a_i / r} (s_0 = n) and the coset holds C(j + n - 1, n - 1)
 points of value s_k + j.  The regional fundamental group is N / Z^n, the
-cyclic group of order r.  In dimension 3 the germ is terminal (mld > 1)
+cyclic group of order r.
+
+A boundary coefficient b_i on the ray e_i makes L the weighted sum
+sum_i (1 - b_i) v_i.  The least point of each coset is least in every
+coordinate, so it still has the least value, sum_i (1 - b_i) {k a_i / r}
+(sum_i (1 - b_i) for k = 0); the window count and the group no longer
+follow, as L no longer steps by 1 and the orbifold lattice grows.  In dimension 3 the germ is terminal (mld > 1)
 iff two weights sum to 0 mod r (White, Pacific J. Math. 1964; Morrison
 and Stevens, Proc. AMS 1984).
 
@@ -26,24 +32,27 @@ from fractions import Fraction
 import toricmld as t
 
 
-def germ(r: int, weights) -> t.ToricGerm:
-    """The germ 1/r(weights), with no boundary."""
+def germ(r: int, weights, boundary=None) -> t.ToricGerm:
+    """The germ 1/r(weights), with boundary[i] (default 0) on the ray e_i."""
     n = len(weights)
     orthant = t.make_cone(n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
     lattice = t.lattice_from_generators(n, [tuple(Fraction(a, r) for a in weights)])
-    return t.make_germ(orthant, None, lattice)
+    if boundary is not None:  # make_cone sorts the rays: e_i is not rays[i]
+        boundary = [boundary[ray.index(1)] for ray in orthant.rays]
+    return t.make_germ(orthant, boundary, lattice)
 
 
-def least_values(r: int, weights) -> list[Fraction]:
+def least_values(r: int, weights, boundary=None) -> list[Fraction]:
     """s_k, the least log discrepancy over coset k, for k = 0, ..., r - 1."""
-    return [Fraction(len(weights))] + [
-        sum(Fraction(k * a % r, r) for a in weights) for k in range(1, r)
+    w = [1 - Fraction(b) for b in boundary or [0] * len(weights)]
+    return [sum(w)] + [
+        sum(wi * Fraction(k * a % r, r) for wi, a in zip(w, weights)) for k in range(1, r)
     ]
 
 
-def mld(r: int, weights) -> Fraction:
-    """min(n, min over k of sum_i {k a_i / r})."""
-    return min(least_values(r, weights))
+def mld(r: int, weights, boundary=None) -> Fraction:
+    """min(sum_i (1 - b_i), min over k of sum_i (1 - b_i) {k a_i / r})."""
+    return min(least_values(r, weights, boundary))
 
 
 def window_count(r: int, weights, low, high) -> int:

@@ -8,8 +8,8 @@ applies that one replacement to a fresh copy and runs the row's tests in a
 subprocess with ``PYTHONPATH`` pointing at it.  It exits 1 when a row's old
 text is missing or found more than once (the table must follow a refactor
 in the same change), or when a mutant survives: some named test does not
-fail.  pytest is not told about this file (it is not ``test_*.py``),
-because it starts one interpreter per mutant.
+fail, or runs past ``TIMEOUT_S``.  pytest is not told about this file (it
+is not ``test_*.py``), because it starts one interpreter per mutant.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ PI1 = "tests/test_pi1.py::"
 REBASE = "tests/test_rebase.py::test_mapped_rebasing_matches_the_solve_on_drawn_germs"
 COUNTING = "tests/test_counting_2d.py::test_counting_agrees_with_the_box_points_on_drawn_germs"
 CLOSED_FORMS = "tests/test_counting_2d.py::test_closed_forms_of_ex1_and_ex2"
+SUBTREE = "tests/test_structure.py::test_subtree_test_agrees_with_its_definition"
+TIMEOUT_S = 300  # per test run; a mutant that hangs a test counts as surviving it
 
 MUTANTS = (
     # the decomposition's rows (coefficients over the germ's own rays)
@@ -48,13 +50,21 @@ MUTANTS = (
     Mutant("structure.py", "if len(u) < k and not _subtree_hits(c, m, full, p, u):", "if False:",
            ("tests/test_structure.py::test_cross_polytope_search_is_quadratic",),
            "subset search without pruning"),
-    Mutant("structure.py", " and all(x > 0 for x in y[: len(p)])", "",
+    Mutant("structure.py", " and all(x > 0 for x in y[:k])", "",
            ("tests/test_structure.py::test_lazy_subset_search_agrees_with_eager_reference",),
            "any-rank subtree test without the P condition"),
-    Mutant("structure.py", "return all(dot(f, r) == 0 for f in facets if dot(f, m) == 0 for r in rays[: len(p)])",
+    Mutant("structure.py", "return all(dot(f, r) == 0 for f in facets if dot(f, m) == 0 for r in rays[:k])",
            "return True",
            ("tests/test_structure.py::test_first_subset_agrees_with_the_walk",),
            "any-rank subtree test without the face condition"),
+    # the full-rank subtree test is the any-rank one with P := U, plus a rank check
+    Mutant("structure.py", "k = len(u) if full else len(p)", "k = len(p)",
+           (SUBTREE,), "full-rank subtree test positive on P only"),
+    Mutant("structure.py", "if y is linalg.INCONSISTENT or full and dim_u != c.dim:", "if y is linalg.INCONSISTENT:",
+           (SUBTREE,), "full-rank subtree test without the rank check"),
+    Mutant("structure.py", "> tau1.dim)", ">= tau1.dim)",
+           ("tests/test_simplicial.py::test_the_spanning_pair_walk_reads_the_ranks_it_has",),
+           "rho that need not raise tau1's rank"),
     # lower-dimensional cones
     Mutant("cones.py", "at = {j: k for k, j in enumerate(pivots)}", "at = {j: k for k, j in enumerate(range(len(pivots)))}",
            ("tests/test_cones.py::test_lower_dimensional_cones_match_the_hermite_reference",),
@@ -102,10 +112,14 @@ def _copy_src(dest: Path) -> Path:
     return src
 
 
-def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess | None:
+    """The pytest run, or None when it outlasts TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -119,8 +133,9 @@ def main() -> int:
             return 1
         every = sorted({t for m in MUTANTS for t in m.tests})
         base = _pytest(clean, every)
-        if base.returncode != 0:
-            print("the named tests do not pass on the unchanged sources:\n" + base.stdout[-3000:])
+        if base is None or base.returncode != 0:
+            print("the named tests do not pass on the unchanged sources:\n"
+                  + (base.stdout[-3000:] if base else f"they ran past {TIMEOUT_S} s"))
             return 1
         for i, m in enumerate(MUTANTS):
             start = time.monotonic()
@@ -132,11 +147,11 @@ def main() -> int:
                 continue
             path.write_text(text.replace(m.old, m.new))
             # pytest exits 1 when tests fail, and otherwise for a pass or a broken run
-            survived = [t for t in m.tests if _pytest(src, [t]).returncode != 1]
+            survived = [t for t in m.tests if getattr(_pytest(src, [t]), "returncode", None) != 1]
             status = "SURVIVED" if survived else "killed"
             print(f"{status:8} {m.module:14} {m.why} ({time.monotonic() - start:.1f} s)")
             if survived:
-                problems.append(f"{m.module}: '{m.why}' passes or breaks {', '.join(survived)}")
+                problems.append(f"{m.module}: '{m.why}' passes, breaks or hangs {', '.join(survived)}")
     for p in problems:
         print("error:", p)
     print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")

@@ -10,7 +10,7 @@ trichotomy and ``_tau_containing_ray`` choose.
 
 from __future__ import annotations
 
-from toricmld.cones import Membership, in_relint, make_cone, membership
+from toricmld.cones import Membership, make_cone, membership
 from toricmld.errors import NotInteriorPoint
 from toricmld.germio import format_q
 from toricmld.linalg import rank
@@ -34,11 +34,16 @@ def proper_subsets(k: int):
 
 def subcone_index_sets(c, m):
     """Index sets of proper ray subsets whose cone keeps m in its relative
-    interior, lazily and in lexicographic order."""
+    interior, lazily and in lexicographic order.  Each subset is tested by
+    the facets of its own cone, which shares no code with the search's
+    solve."""
     k = len(c.rays)
     if k > MAX_RAYS:
         raise ValueError(f"{k} rays; the walk is capped at {MAX_RAYS}")
-    return (idx for idx in proper_subsets(k) if in_relint([c.rays[i] for i in idx], m))
+    return (
+        idx for idx in proper_subsets(k)
+        if membership(make_cone(c.n, [c.rays[i] for i in idx]), m) is Membership.RELATIVE_INTERIOR
+    )
 
 
 def first_subset(c, m, full: bool):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import toricmld as t
 from toricmld import cli, invariants
 from toricmld.cli import main
 from toricmld.errors import ParseError, ValidationError
-from toricmld.germio import coord_out, format_q, germ_doc, parse_germ
+from toricmld.germio import coord_out, format_q, germ_doc, parse_germ, parse_rational
 
 
 def run(*argv):
@@ -489,6 +490,18 @@ _PLANE = {"dim": 2, "rays": [[1, 0], [0, 1]]}
         (("decompose", "-", "--point", "1e-3000000,1"), _PLANE),
         (("mld", "-", "--bound="), _PLANE),
         (("oracle-mld", "-", "--bound="), _PLANE),
+        # digit separators, non-ASCII digits and spaces around the slash,
+        # which Fraction accepts on some interpreters only
+        (("mld", "-"), dict(_PLANE, boundary=["1/2_0", "0"])),
+        (("mld", "-"), dict(_PLANE, boundary=["\u0661/\u0663", "0"])),
+        (("mld", "-"), dict(_PLANE, lattice_extra=[["\uff11/\uff12", "0"]])),
+        (("scan", "--spec", "-"), {"grid": [{"epsilon": "1_0/20", "delta": "1/2"}]}),
+        (("scan", "--spec", "-"), {"grid": [{"epsilon": "1/2", "delta": "\u0663/4"}]}),
+        (("window", "-", "--low", "1", "--high", "1_000"), _PLANE),
+        (("mld", "-", "--bound", "\u0663"), _PLANE),
+        (("check", "-", "--epsilon", "\uff11/\uff12", "--delta", "1/2"), _PLANE),
+        (("check", "-", "--epsilon", "1/2", "--delta", "1 / 2"), _PLANE),
+        (("decompose", "-", "--point", "1_0,1"), _PLANE),
     ],
 )
 def test_rationals_in_exponent_notation_are_parse_errors(monkeypatch, argv, stdin):
@@ -496,9 +509,16 @@ def test_rationals_in_exponent_notation_are_parse_errors(monkeypatch, argv, stdi
     number past the limit on parsed integers; each entry point of a
     rational, the germ document, the scan grid and every rational flag,
     rejects it at once.  An empty --bound is no rational either, and is
-    not read as the default bound."""
+    not read as the default bound.  One ASCII grammar holds on every
+    interpreter: Fraction's "_" separators, non-ASCII digits and spaces
+    around "/" are refused too."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
     start = time.monotonic()
     code, out, err = run(*argv)
     assert time.monotonic() - start < 2
     assert (code, out) == (1, "") and err.startswith("error: ParseError: ")
+
+
+@pytest.mark.parametrize("text", ["0.1", " 1/2 ", "+3", ".5", "-7/3", "1.", "\t2\n", "0"])
+def test_plain_rationals_stay_accepted(text):
+    assert parse_rational(text) == Fraction(text.strip())

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import toricmld as t
 from toricmld import cones
-from toricmld.cones import in_relint
 from toricmld.errors import EmptyInput, NotInCone, NotStronglyConvex, ValidationError, ZeroVector
-from toricmld.linalg import INCONSISTENT, UNDERDETERMINED, dot, identity, primitive, rank, solve_rational, transpose
+from toricmld.linalg import dot, identity, primitive, rank
 
 import elim_reference as elim_ref
 import nf_reference as nf_ref
@@ -183,8 +182,6 @@ def test_in_cone_feasibility():
     assert in_cone([(1, 0), (0, 1)], (2, 3))
     assert not in_cone([(1, 0), (0, 1)], (-1, 0))
     assert in_cone([(1, 0), (1, 1)], (2, 1))
-    assert in_relint([(1, 0), (0, 1)], (1, 1))
-    assert not in_relint([(1, 0), (0, 1)], (1, 0))
 
 
 def test_facets_vanish_on_enough_rays():
@@ -293,102 +290,6 @@ def test_points_of_the_wrong_length_are_rejected():
                 t.membership(cone, v)
             with pytest.raises(ValidationError):
                 t.minimal_face_containing(cone, v)
-
-
-def test_in_relint_agrees_with_lp_on_subsets():
-    # every proper ray subset of random cones, lower-rank subsets
-    # included, probed at the subset's ray sum, at each ray, at the
-    # parent's ray sum and at random points
-    import itertools
-
-    rng = random.Random(43)
-    cones = []
-    while len(cones) < 10:
-        n = rng.randint(2, 4)
-        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 2))]
-        try:
-            cone = t.make_cone(n, rays)
-        except t.ToricError:
-            continue
-        if cone.dim == n and 3 <= len(cone.rays) <= 6:
-            cones.append(cone)
-    answers = set()
-    for cone in cones:
-        total = tuple(sum(col) for col in zip(*cone.rays))
-        k = len(cone.rays)
-        for size in range(1, k):
-            for idx in itertools.combinations(range(k), size):
-                sub = [cone.rays[i] for i in idx]
-                probes = [tuple(sum(col) for col in zip(*sub)), total, *sub]
-                probes += [tuple(rng.randint(-3, 3) for _ in range(cone.n)) for _ in range(2)]
-                for v in probes:
-                    got = in_relint(sub, v)
-                    assert got == lp_in_relint(sub, v), (sub, v)
-                    answers.add((got, rank(sub) < cone.n))
-    assert answers == {(True, True), (False, True), (True, False), (False, False)}
-
-
-def test_in_relint_solve_agrees_with_facets_and_lp():
-    # every proper ray subset of random cones in dims 2-5, lower-rank
-    # subsets included, probed at the subset's ray sum, at its first ray,
-    # at the parent's ray sum and at a random point; the one-solve answer
-    # equals both the facets of the subset's cone and the LP, and every
-    # outcome of the solve (unique, inconsistent, underdetermined) occurs
-    import itertools
-
-    rng = random.Random(43)
-    cones = []
-    # ray counts per dimension; dependent proper subsets need more than n + 1 rays
-    for n, k in ((2, 2), (3, 5), (4, 6), (5, 6)):
-        count = 0
-        while count < 2:
-            rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
-            try:
-                cone = t.make_cone(n, rays)
-            except t.ToricError:
-                continue
-            if cone.dim == n and len(cone.rays) == k:
-                cones.append(cone)
-                count += 1
-    answers = set()
-    outcomes = {"unique": 0, "inconsistent": 0, "underdetermined": 0}
-    for cone in cones:
-        total = tuple(sum(col) for col in zip(*cone.rays))
-        k = len(cone.rays)
-        for size in range(1, k):
-            for idx in itertools.combinations(range(k), size):
-                sub = [cone.rays[i] for i in idx]
-                sub_cone = t.make_cone(cone.n, sub)
-                probes = [tuple(sum(col) for col in zip(*sub)), total, sub[0]]
-                probes.append(tuple(rng.randint(-3, 3) for _ in range(cone.n)))
-                for v in probes:
-                    got = in_relint(sub, v)
-                    by_facets = t.membership(sub_cone, v) is t.Membership.RELATIVE_INTERIOR
-                    assert got == by_facets == lp_in_relint(sub, v), (sub, v)
-                    answers.add((got, rank(sub) < cone.n))
-                    sol = solve_rational(transpose(sub), v)
-                    if sol is INCONSISTENT:
-                        outcomes["inconsistent"] += 1
-                    elif sol is UNDERDETERMINED:
-                        outcomes["underdetermined"] += 1
-                    else:
-                        outcomes["unique"] += 1
-    assert answers == {(True, True), (False, True), (True, False), (False, False)}
-    assert all(outcomes.values()), outcomes
-
-
-def test_in_relint_requires_a_strongly_convex_cone():
-    with pytest.raises(NotStronglyConvex):
-        in_relint([(1, 0), (-1, 0)], (0, 0))
-    with pytest.raises(NotStronglyConvex):
-        in_relint([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], (0, 0, 0))
-    with pytest.raises(ZeroVector):
-        in_relint([(1, 0), (0, 0)], (1, 0))
-    assert in_relint([], (0, 0)) and not in_relint([], (1, 0))
-    # a line is reported only when v lies in the rays' span; a zero ray always
-    assert in_relint([(1, 0, 0), (-1, 0, 0)], (0, 1, 0)) is False
-    with pytest.raises(ZeroVector):
-        in_relint([(1, 0, 0), (0, 0, 0)], (0, 1, 0))
 
 
 def test_lower_dimensional_cones_match_the_lp_and_elimination_references():

@@ -2,6 +2,7 @@
 against the closed forms of ``cyclic_reference``."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,27 +10,45 @@ from hypothesis import strategies as st
 import toricmld as t
 
 import cyclic_reference as ref
+import pi1_reference as pi1_ref
 
 
 @st.composite
-def isolated_weights(draw, dims=(2, 4), max_r=23):
-    """(r, (1, a_2, ..., a_n)) with every weight a unit mod r."""
+def isolated_weights(draw, dims=(2, 5), max_r=60):
+    """(r, (1, a_2, ..., a_n), boundary) with every weight a unit mod r and
+    a coefficient in {0, 1/2} on each ray e_i, all 0 for half the draws."""
     n = draw(st.integers(*dims))
     r = draw(st.integers(2, max_r))
     units = [a for a in range(1, r) if math.gcd(a, r) == 1]
     rest = draw(st.lists(st.sampled_from(units), min_size=n - 1, max_size=n - 1))
-    return r, (1, *rest)
+    halves = st.sampled_from((Fraction(0), Fraction(1, 2)))
+    boundary = draw(st.one_of(st.just((Fraction(0),) * n), st.tuples(*[halves] * n)))
+    return r, (1, *rest), boundary
 
 
-@settings(max_examples=800, deadline=None, derandomize=True, database=None)
-@given(isolated_weights())
-def test_cyclic_quotients_match_the_closed_forms(case):
-    r, weights = case
-    germ = ref.germ(r, weights)
-    assert t.mld(germ).value == ref.mld(r, weights)
-    assert t.count_window(germ, 1, 2).count == ref.window_count(r, weights, 1, 2)
-    group = t.pi1_reg(germ)
-    assert (group.invariant_factors, group.order, group.free_rank) == ((r,), r, 0)
+def test_cyclic_quotients_match_the_closed_forms():
+    """mld against the closed form, with or without a boundary; without
+    one, the window [1, 2) and the cyclic group of order r too, and with
+    one, whose orbifold lattice is larger, the group against the listing."""
+    seen = set()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(isolated_weights())
+    def check(case):
+        r, weights, boundary = case
+        germ = ref.germ(r, weights, boundary)
+        assert t.mld(germ).value == ref.mld(r, weights, boundary)
+        group = t.pi1_reg(germ)
+        if any(boundary):
+            assert (group.invariant_factors, group.free_rank) == (pi1_ref.pi1_factors(germ), 0)
+            seen.add("boundary")
+        else:
+            assert t.count_window(germ, 1, 2).count == ref.window_count(r, weights, 1, 2)
+            assert (group.invariant_factors, group.order, group.free_rank) == ((r,), r, 0)
+        seen.update({f"dim {len(weights)}", "r > 23" if r > 23 else "r <= 23"})
+
+    check()
+    assert seen >= {"boundary", "dim 5", "r > 23"}, seen
 
 
 def test_terminal_cyclic_3folds_are_the_white_morrison_stevens_ones():

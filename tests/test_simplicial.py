@@ -275,3 +275,24 @@ def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, 
             t.trichotomy(c, m)
             assert counts and all(n == (1 if long else 0) for long, n in counts), (rays, m, counts)
             assert any(long for long, _ in counts)
+
+
+def test_the_spanning_pair_walk_reads_the_ranks_it_has(monkeypatch, eliminations):
+    """The trichotomy of the four-ray cone at (1, 1, 0) is a spanning pair.
+    Choosing rho compares with tau1's dim, which tau1 carries, and each
+    subtree test of either rank is one solve: three rank calls and 22
+    eliminations.  A walk whose rho does not raise the rank never ends,
+    so the count stops it."""
+    ranks = []
+
+    def counted(rows):
+        ranks.append(rows)
+        if len(ranks) > 10:
+            raise AssertionError("the spanning-pair walk does not end")
+        return rank(rows)
+
+    monkeypatch.setattr(structure, "rank", counted)
+    c = t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    eliminations.clear()
+    assert isinstance(t.trichotomy(c, (1, 1, 0)), structure.SpanningPair)
+    assert (len(ranks), len(eliminations)) == (3, 22)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import toricmld as t
@@ -22,7 +22,8 @@ from toricmld.structure import (
 )
 
 import subset_reference
-from lp_reference import in_relint
+import elim_reference as elim_ref
+from lp_reference import in_cone, in_relint
 
 F = Fraction
 
@@ -229,6 +230,108 @@ def test_first_subset_agrees_with_the_walk(monkeypatch):
         "full-rank hit", "any-rank hit only", "no hit", "SpanningPair",
         "lower-dimensional", "full-dimensional",
     }, seen
+
+
+@st.composite
+def cones_with_probes(draw):
+    """A cone over 3 to 6 distinct lattice points at height one, in Z^n,
+    n = 2..5, full-dimensional or in its own span of dimension n - 1,
+    and a probe: the ray sum, a ray, the ray sum of a facet (a boundary
+    point), a lattice point drawn from [-2, 2]^n, or, for half the cones
+    of dimension 4 or 5, whose points then include the square (+-1, +-1,
+    0, ...), the ray sum of the square, whose four rays have rank 3."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.sampled_from((n, n - 1) if n > 2 else (n,)))
+    coords = st.tuples(*[st.integers(-1, 1)] * (d - 1))
+    pts = draw(st.lists(coords, min_size=min(d + 1, 3 ** (d - 1)), max_size=6, unique=True))
+    square = [(a, b) + (0,) * (d - 3) for a in (-1, 1) for b in (-1, 1)] if d >= 4 and draw(st.booleans()) else []
+    pts = square + [p for p in pts if p not in square][: 6 - len(square)]
+    rays = [p + (1,) for p in pts]
+    if d < n:
+        at = draw(st.integers(0, d))
+        a = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        rays = [r[:at] + (dot(a, r),) + r[at:] for r in rays]
+    c = t.make_cone(n, rays)
+    kind = draw(st.sampled_from(["ray sum", "ray", "boundary", "random"] + ["square"] * bool(square)))
+    if kind == "square":
+        m = tuple(map(sum, zip(*rays[:4])))
+    elif kind == "ray sum":
+        m = tuple(map(sum, zip(*c.rays)))
+    elif kind == "ray":
+        m = draw(st.sampled_from(c.rays))
+    elif kind == "boundary":
+        f = draw(st.sampled_from(c.facets))
+        m = tuple(map(sum, zip(*[r for r in c.rays if dot(f, r) == 0])))
+    else:
+        m = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    return c, m
+
+
+def test_subtree_test_agrees_with_its_definition(monkeypatch):
+    """For every (p, u) that the search asks, in both modes, the subtree
+    test answers its definition: some S with p <= S <= u has m in the
+    relative interior of cone(S), decided by the LP, and rank S = c.dim
+    when full.  Cones in dims 2-5, full-dimensional and lower-dimensional,
+    probed at interior, boundary, ray and outside points."""
+    seen = set()
+
+    # no shrinking: a failing example is reported as it is, which keeps a
+    # mutant's run short, as each example runs dozens of LPs
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(cones_with_probes())
+    # the square's rays, of rank 3, are rays 0, 1, 4 and 5 in the search's
+    # order, so the full-rank search asks u = (0, 1, 4, 5) around their sum
+    @example((t.make_cone(4, [(a, b, 0, 1) for a in (-1, 1) for b in (-1, 1)] + [(0, -1, 1, 1), (0, 1, -1, 1)]),
+              (0, 0, 0, 4)))
+    def check(cm):
+        c, m = cm
+        asked = []
+        real = structure._subtree_hits
+
+        def recorded(c, m, full, p, u):
+            asked.append((full, p, u))
+            return real(c, m, full, p, u)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_subtree_hits", recorded)
+            for full in (True, False):
+                _first_subset(c, m, full)
+        inside = in_cone(c.rays, m)  # cone(S) lies in cone(c)
+        relint = {}
+
+        def hit(s, full):
+            rays = [c.rays[i] for i in s]
+            if full and elim_ref.rank(rays) != c.dim:
+                return False
+            if s not in relint:  # relint cone(S) lies in span S
+                relint[s] = inside and elim_ref.rank(rays + [m]) == elim_ref.rank(rays) and in_relint(rays, m)
+            return relint[s]
+
+        for full, p, u in asked:
+            rest = [i for i in u if i not in p]
+            expect = any(
+                hit(tuple(sorted(p + extra)), full)
+                for size in range(len(rest) + 1) for extra in itertools.combinations(rest, size)
+            )
+            assert real(c, m, full, p, u) == expect, (c, m, full, p, u)
+            rays = [c.rays[i] for i in u]
+            if full and len(u) >= c.dim > elim_ref.rank(rays) and hit(u, False):
+                seen.add("m in relint cone(u) of rank below c.dim")
+            if full and len(u) < c.dim:
+                system = "refused"
+            elif elim_ref.rank(rays + [m]) > elim_ref.rank(rays):
+                system = "inconsistent"
+            else:
+                system = "independent" if elim_ref.rank(rays) == len(u) else "dependent"
+            seen.update({("answer", full, expect), (system, full)})
+        seen.add("lower-dimensional" if c.dim < c.n else "full-dimensional")
+
+    check()
+    wanted = {("answer", full, a) for full in (True, False) for a in (True, False)}
+    wanted |= {(system, full) for full in (True, False) for system in ("independent", "dependent", "inconsistent")}
+    wanted |= {"m in relint cone(u) of rank below c.dim", "lower-dimensional", "full-dimensional"}
+    assert seen >= wanted, seen
 
 
 def _cross_polytope(n):
