@@ -175,7 +175,7 @@ def membership(c: Cone, v: Sequence) -> Membership:
         raise ValidationError(f"a point of length {len(v)} in dimension {c.n}")
     d = math.lcm(*[x.denominator for x in v])  # v scaled to ints, by d > 0
     v = [x.numerator * (d // x.denominator) for x in v]
-    if c.dim < c.n and linalg.solve_rational(transpose(c.rays), v) is linalg.INCONSISTENT:
+    if c.dim < c.n and linalg.solve_scaled(transpose(c.rays), v)[2] is linalg.INCONSISTENT:
         return Membership.OUTSIDE
     vals = [dot(f, v) for f in c.facets]
     if any(x < 0 for x in vals):

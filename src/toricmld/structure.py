@@ -15,8 +15,9 @@ Three related constructions:
   independent, built by recursing through the trichotomy and merging
   the two sub-cone solutions along a spanning pair; each half of a pair
   is recursed into as it is, a cone in its own span in ambient
-  coordinates, and every level carries one integer coefficient row per
-  vector.
+  coordinates.  Its cones take their rays from the top cone, so every
+  level carries one integer row per vector over the top cone's rays; a
+  merge reads its basis off one elimination, its replaced row off one solve.
 
 The decomposition accepts any interior lattice point, not only a
 minimizer of the log discrepancy; nothing below uses minimality.
@@ -187,7 +188,8 @@ def _trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
         raise InternalError("a non-simplicial cone always admits such a sub-cone")
     tau1 = make_cone(c.n, [c.rays[i] for i in idx])
     while True:
-        rho = next(r for r in c.rays if rank(tau1.rays + (r,)) > tau1.dim)
+        # after tau1's rays, the first kept row is the first ray outside their span
+        rho = c.rays[linalg.independent_rows(tau1.rays + c.rays)[tau1.dim] - len(tau1.rays)]
         tau2 = _tau_containing_ray(c, m, rho)
         if tau2.dim >= c.dim:
             raise InternalError("a sub-cone through a boundary face is full-dimensional")
@@ -199,17 +201,11 @@ def _trichotomy(c: Cone, m: Sequence) -> TrichotomyResult:
 # ---------------------------------------------------------------------------
 
 
-def _over(rows, sub_rays, rays):
-    """Rows over sub_rays, a sublist of rays, as rows over rays."""
-    pos = {r: i for i, r in enumerate(sub_rays)}
-    return [[row[pos[r]] if r in pos else 0 for r in rays] for row in rows]
-
-
-def _decompose_rec(cone: Cone, m):
-    """k0 and cone.dim nonnegative integer rows over cone.rays, one per
-    vector v_i = rows[i] . rays, with k0 * m = sum of the v_i and the v_i
-    independent, for m in the relative interior of the cone."""
-    n, k = cone.dim, len(cone.rays)
+def _decompose_rec(cone: Cone, m, top):
+    """k0 and cone.dim nonnegative integer rows over top, the top cone's
+    rays, which hold cone.rays: one per vector v_i = rows[i] . top, with
+    k0 * m = sum of the v_i and the v_i independent, for m in the
+    relative interior of the cone."""
     tri = _trichotomy(cone, m)
     if isinstance(tri, Simplicial):
         if has_opposite_facets(cone):
@@ -219,34 +215,30 @@ def _decompose_rec(cone: Cone, m):
         if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
             raise InternalError("an interior point is not a positive combination of simplicial rays")
         k0 = math.lcm(*[x.denominator for x in sol])
-        return k0, [[int(x * k0) if i == j else 0 for j in range(k)] for i, x in enumerate(sol)]
+        return k0, [[int(x * k0) if r == ray else 0 for r in top] for x, ray in zip(sol, cone.rays)]
     if isinstance(tri, FullDimSubcone):
-        k0, rows = _decompose_rec(tri.tau, m)
-        return k0, _over(rows, tri.tau.rays, cone.rays)
-    k0a, rows = _decompose_rec(tri.tau1, m)
-    k0b, rows_b = _decompose_rec(tri.tau2, m)
-    rows, rows_b = _over(rows, tri.tau1.rays, cone.rays), _over(rows_b, tri.tau2.rays, cone.rays)
-    cols = transpose(cone.rays)
-    basis = [mat_vec(cols, row) for row in rows]
-    unused = [0] * k
-    for row in rows_b:
-        v = mat_vec(cols, row)
-        if len(basis) < n and rank(basis + [v]) > len(basis):
-            basis.append(v)
-            rows.append(row)
-        else:
-            unused = [a + b for a, b in zip(unused, row)]
-    if rank(basis) != n:
+        return _decompose_rec(tri.tau, m, top)
+    k0a, rows = _decompose_rec(tri.tau1, m, top)
+    k0b, rows_b = _decompose_rec(tri.tau2, m, top)
+    rows += rows_b
+    cols = transpose(top)
+    vectors = [mat_vec(cols, row) for row in rows]
+    # tau1's vectors are independent, and a later vector is kept iff it
+    # raises the rank of those before it: the basis a greedy loop builds
+    keep = linalg.independent_rows(vectors)
+    if len(keep) != cone.dim:
         raise InternalError("the two sub-cone decompositions do not span")
-    if any(unused):
-        w = mat_vec(cols, unused)
-        for i in range(n):
-            cand = basis[:i] + [tuple(a + b for a, b in zip(basis[i], w))] + basis[i + 1:]
-            if rank(cand) == n:
-                rows[i] = [a + b for a, b in zip(rows[i], unused)]
-                break
-        else:  # pragma: no cover - impossible: k0*m would vanish
+    unused = [row for i, row in enumerate(rows) if i not in keep]
+    rows = [rows[i] for i in keep]
+    if unused:
+        w = [sum(col) for col in zip(*unused)]
+        # adding w = sum of c_j b_j to basis vector b_i scales the
+        # determinant by 1 + c_i; y = d * c
+        _, d, y = linalg.solve_scaled(transpose([vectors[i] for i in keep]), mat_vec(cols, w))
+        i = next((i for i, x in enumerate(y) if x != -d), None)
+        if i is None:  # pragma: no cover - impossible: k0*m would vanish
             raise InternalError("no replacement keeps the family independent")
+        rows[i] = [a + b for a, b in zip(rows[i], w)]
     return k0a + k0b, rows
 
 
@@ -258,7 +250,7 @@ def decompose(germ: ToricGerm, m: Sequence) -> Decomposition:
         raise NotInteriorPoint(f"({', '.join(map(format_q, m))}) is not an interior lattice point")
     # N's basis is upper triangular with positive pivots, so rb.cone.rays
     # come in the order of germ.cone.rays and the rows are over both
-    k0, rows = _decompose_rec(rb.cone, m_c)
+    k0, rows = _decompose_rec(rb.cone, m_c, rb.cone.rays)
     cols = transpose(germ.cone.rays)
     vectors = tuple(mat_vec(cols, row) for row in rows)
     result = Decomposition(k0, vectors, tuple(map(tuple, rows)), k0 + sum(map(sum, rows)))

@@ -39,6 +39,7 @@ REBASE = "tests/test_rebase.py::test_mapped_rebasing_matches_the_solve_on_drawn_
 COUNTING = "tests/test_counting_2d.py::test_counting_agrees_with_the_box_points_on_drawn_germs"
 CLOSED_FORMS = "tests/test_counting_2d.py::test_closed_forms_of_ex1_and_ex2"
 SUBTREE = "tests/test_structure.py::test_subtree_test_agrees_with_its_definition"
+RANK_LOOP = "tests/test_structure.py::test_decompose_matches_the_rank_loop_reference"
 TIMEOUT_S = 300  # per test run; a mutant that hangs a test counts as surviving it
 
 MUTANTS = (
@@ -62,9 +63,14 @@ MUTANTS = (
            (SUBTREE,), "full-rank subtree test positive on P only"),
     Mutant("structure.py", "if y is linalg.INCONSISTENT or full and dim_u != c.dim:", "if y is linalg.INCONSISTENT:",
            (SUBTREE,), "full-rank subtree test without the rank check"),
-    Mutant("structure.py", "> tau1.dim)", ">= tau1.dim)",
+    Mutant("structure.py", "[tau1.dim]", "[tau1.dim - 1]",
            ("tests/test_simplicial.py::test_the_spanning_pair_walk_reads_the_ranks_it_has",),
            "rho that need not raise tau1's rank"),
+    # the merge of a spanning pair's rows
+    Mutant("structure.py", "rows += rows_b", "rows = rows_b + rows",
+           (RANK_LOOP,), "tau2's rows before tau1's in the merge"),
+    Mutant("structure.py", "x != -d", "x != d",
+           (RANK_LOOP,), "a replacement row that can make the family dependent"),
     # lower-dimensional cones
     Mutant("cones.py", "at = {j: k for k, j in enumerate(pivots)}", "at = {j: k for k, j in enumerate(range(len(pivots)))}",
            ("tests/test_cones.py::test_lower_dimensional_cones_match_the_hermite_reference",),

@@ -85,7 +85,7 @@ def test_simplicial_fast_paths_match_the_eliminations():
         shift = [data.draw(st.integers(-1, 1)) for _ in range(n)]
         m = tuple(sum(a * r[j] for a, r in zip(coeffs, v)) + s for j, s in enumerate(shift))
         assume(t.membership(cone, m) is t.Membership.RELATIVE_INTERIOR)
-        k0, rows = structure._decompose_rec(cone, m)
+        k0, rows = structure._decompose_rec(cone, m, cone.rays)
         assert (k0, rows) == ref.simplicial_rows_by_solve(cone, m)
         seen.update(kinds)
         seen["fractional coordinates"] += k0 > 1
@@ -126,7 +126,7 @@ def test_lower_dimensional_simplicial_base_case_solves():
         coeffs = [data.draw(st.integers(1, 4)) for _ in cone.rays]
         m = tuple(sum(a * r[j] for a, r in zip(coeffs, cone.rays)) for j in range(n))
         assert cone.dim == k < n
-        assert structure._decompose_rec(cone, m) == ref.simplicial_rows_by_solve(cone, m)
+        assert structure._decompose_rec(cone, m, cone.rays) == ref.simplicial_rows_by_solve(cone, m)
         seen[(n, k)] += 1
 
     check()
@@ -277,12 +277,9 @@ def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, 
             assert any(long for long, _ in counts)
 
 
-def test_the_spanning_pair_walk_reads_the_ranks_it_has(monkeypatch, eliminations):
-    """The trichotomy of the four-ray cone at (1, 1, 0) is a spanning pair.
-    Choosing rho compares with tau1's dim, which tau1 carries, and each
-    subtree test of either rank is one solve: three rank calls and 22
-    eliminations.  A walk whose rho does not raise the rank never ends,
-    so the count stops it."""
+def _counted_ranks(monkeypatch):
+    """A list that collects the rows of each structure.rank call; more
+    than ten calls stop a walk that does not end."""
     ranks = []
 
     def counted(rows):
@@ -292,7 +289,32 @@ def test_the_spanning_pair_walk_reads_the_ranks_it_has(monkeypatch, eliminations
         return rank(rows)
 
     monkeypatch.setattr(structure, "rank", counted)
+    return ranks
+
+
+def test_the_spanning_pair_walk_reads_the_ranks_it_has(monkeypatch, eliminations):
+    """The trichotomy of the four-ray cone at (1, 1, 0) is a spanning pair.
+    rho is read off one elimination of tau1's rays followed by the cone's,
+    and each subtree test of either rank is one solve: one rank call, the
+    spanning check, and 21 eliminations.  A walk whose rho does not raise
+    the rank never ends, so the count stops it."""
+    ranks = _counted_ranks(monkeypatch)
     c = t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
     eliminations.clear()
     assert isinstance(t.trichotomy(c, (1, 1, 0)), structure.SpanningPair)
-    assert (len(ranks), len(eliminations)) == (3, 22)
+    assert (len(ranks), len(eliminations)) == (1, 21)
+
+
+def test_the_merge_reads_one_elimination(monkeypatch, eliminations):
+    """decompose of the four-ray germ at (1, 1, 0) merges a spanning pair
+    with one elimination of both halves' vectors and one solve for the
+    replacement, so its rank calls are the spanning check and the
+    validation's: 2 rank calls and 28 eliminations, where re-ranking
+    the growing basis took 7 and 30."""
+    germ = t.make_germ(t.make_cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))
+    germ.rebased
+    ranks = _counted_ranks(monkeypatch)
+    eliminations.clear()
+    d = t.decompose(germ, (1, 1, 0))
+    assert d.coefficients == ((1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0))
+    assert (len(ranks), len(eliminations)) == (2, 28)

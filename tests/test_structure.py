@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -577,9 +578,9 @@ def test_decompose_agrees_with_the_vectors_and_grids_reference(monkeypatch):
     steps = []
     real_rec, real_tri = structure._decompose_rec, structure._trichotomy
 
-    def rec(cone, m):
+    def rec(cone, m, top):
         steps.append(("rec", cone.dim))
-        return real_rec(cone, m)
+        return real_rec(cone, m, top)
 
     def tri(cone, m):
         res = real_tri(cone, m)
@@ -608,6 +609,58 @@ def test_decompose_agrees_with_the_vectors_and_grids_reference(monkeypatch):
                 cases.add("boundary")
     assert pairs >= 200
     assert cases == {"spanning half", "full-dimensional sub-cone", "extended lattice", "boundary"}
+
+
+def test_decompose_matches_the_rank_loop_reference(monkeypatch):
+    """Rows over the top cone's rays, merged by one elimination and one
+    solve, equal the rank loop that maps each level's rows into its own
+    columns, on the cross-polytope cones of dims 3-8, parabola cones and
+    drawn germs.  Each merge with unused rows solves for the row it
+    replaces: the cross-polytope of dim n makes n - 2 of them.  Every one
+    lands on row 0, where w's coordinate is k0b / k0a > 0, as w is k0b / k0a
+    times the sum of tau1's vectors less the kept vectors of tau2."""
+    import decompose_reference
+    from conftest import germs
+
+    from toricmld import linalg
+
+    replaced = []
+    real_solve = linalg.solve_scaled
+
+    def solve(a, b):
+        r, d, y = real_solve(a, b)
+        if sys._getframe(1).f_code.co_name == "_decompose_rec":
+            replaced.append(next(i for i, x in enumerate(y) if x != -d))
+        return r, d, y
+
+    monkeypatch.setattr(linalg, "solve_scaled", solve)
+
+    def check(g, m):
+        d = t.decompose(g, m)
+        rb = g.rebased
+        k0, rows = decompose_reference.rows_by_rank(rb.cone, t.express_in_basis(g.lattice, m))
+        assert (d.k0, d.coefficients) == (k0, tuple(map(tuple, rows))), (g, m)
+
+    for n in range(3, 9):
+        c, m = _cross_polytope(n)
+        replaced.clear()
+        check(t.make_germ(c), m)
+        assert len(replaced) == n - 2, (n, replaced)
+    for k in (5, 9, 17, 24):
+        g = t.make_germ(t.make_cone(3, [(i, i * i, 1) for i in range(k)]))
+        check(g, tuple(map(sum, zip(*g.cone.rays))))
+    drawn = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(germs(min_dim=2), st.data())
+    def drawn_germs(g, data):
+        coeffs = [data.draw(st.integers(1, 3)) for _ in g.cone.rays]
+        check(g, tuple(sum(a * r[j] for a, r in zip(coeffs, g.cone.rays)) for j in range(g.dim)))
+        drawn.append(len(g.cone.rays) > g.dim)
+
+    drawn_germs()
+    assert sum(drawn) >= 30, drawn
+    assert replaced and set(replaced) == {0}
 
 
 def test_echelon_coordinates_keep_the_ray_order():
