@@ -6,8 +6,9 @@ description is obtained by the double description method in integers:
 it starts from the simplicial cone of n independent generators and adds
 the others one inequality at a time.  Extremality is read off its
 tight-row bitmasks and membership off the facets.  Exactly n
-independent generators skip it: their dual basis, from one elimination,
-is the whole dual description, facet i opposite ray i.  A cone that
+independent generators skip it: their dual basis (cofactors for n <= 3,
+one elimination from n = 4) is the whole dual description, facet i
+opposite ray i.  A cone that
 does not span the ambient space keeps its rays in ambient coordinates;
 its dual description is computed on the pivot coordinates of its span,
 onto which the span projects one to one, and its facet normals are

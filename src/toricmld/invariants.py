@@ -153,7 +153,7 @@ def make_germ(
 
 def multiplicity(coeff) -> int:
     """Largest n with 1 - 1/n <= coeff = p/q in [0, 1), that is q // (q - p)."""
-    c = Fraction(coeff)
+    c = coeff if type(coeff) is Fraction else Fraction(coeff)
     if not (0 <= c < 1):
         raise CoefficientOutOfRange(f"coefficient {c} outside [0, 1)")
     return c.denominator // (c.denominator - c.numerator)

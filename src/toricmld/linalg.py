@@ -1,9 +1,13 @@
 """Exact integer and rational linear algebra.
 
-Vectors are tuples and matrices are tuples of row tuples.  Rank,
-determinants, linear solves and independent row sets read their answers
-off one fraction-free (Bareiss) elimination over ``int`` rows; a row of
-``fractions.Fraction`` is first scaled by the lcm of its denominators.
+Vectors are tuples and matrices are tuples of row tuples.  ``det``,
+``dual_basis``, a nonsingular ``rank`` and a nonsingular square
+``solve_scaled`` of a square ``int`` matrix of size at most 3 read their
+answers off its cofactors.  Everything else (size 4 and up, singular
+ranks and solves, rectangular systems, ``Fraction`` or ``bool`` entries,
+independent row sets) reads its answers off one fraction-free (Bareiss)
+elimination over ``int`` rows; a row of ``fractions.Fraction`` is first
+scaled by the lcm of its denominators.
 The row Hermite normal form, in ``int`` arithmetic and without a
 unimodular transform, is the one lattice kernel: Smith invariants and
 lattice bases are read off it, and coordinates in an echelon basis
@@ -76,6 +80,34 @@ def _integer_row(row) -> tuple[int, list[int]]:
     return d, [(x * d).numerator for x in row]
 
 
+def _cofactors(a) -> tuple[int, tuple[IntVec, ...]] | None:
+    """(det a, w) for a square matrix of ints of size at most 3, with w_i the
+    i-th row of its cofactor matrix, so that w_i . a_j = det a [i = j]: for
+    rows a, b, c the cross products b x c, c x a and a x b.  None for any
+    other matrix, which takes the elimination."""
+    n = len(a)
+    if n > 3:
+        return None
+    for row in a:  # plain loops: this runs before every small solve, and all() is slower
+        if len(row) != n:
+            return None
+        for x in row:
+            if type(x) is not int:
+                return None
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        w = ((b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
+             (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0),
+             (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+        return a0 * w[0][0] + a1 * w[0][1] + a2 * w[0][2], w
+    if n == 2:
+        (a0, a1), (b0, b1) = a
+        return a0 * b1 - a1 * b0, ((b1, -b0), (-a1, a0))
+    if n == 1:
+        return a[0][0], ((1,),)
+    return 1, ()
+
+
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
@@ -86,7 +118,10 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     k-th pivot is the minor on the first k + 1 pivot rows and columns:
     the last pivot of a square nonsingular matrix is its determinant, up
     to the sign.  Outside ``oracle``, this is the package's one Gaussian
-    elimination.
+    elimination; square ``int`` matrices of size at most 3 skip it for
+    their cofactors, unless a singular one needs its rank or its solve.
+    A row whose pivot-column entry is 0 is left as it is when p == prev,
+    where the update is the identity.
     """
     m = len(rows)
     pivots = []
@@ -106,6 +141,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
         p = top[c]
         for i in range(r + 1, m):
             f = rows[i][c]
+            if f == 0 and p == prev:
+                continue
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = p
         pivots.append(c)
@@ -114,6 +151,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
 
 def rank(a) -> int:
     """Rank over the rationals."""
+    if (cof := _cofactors(a)) and cof[0]:
+        return len(a)
     rows = [_integer_row(row)[1] for row in a]
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
@@ -127,6 +166,8 @@ def independent_rows(a) -> tuple[int, ...]:
 
 
 def det(a) -> Fraction:
+    if cof := _cofactors(a):
+        return Fraction(cof[0])
     n = len(a)
     scaled = [_integer_row(row) for row in a]
     rows = [row for _, row in scaled]
@@ -159,23 +200,30 @@ UNDERDETERMINED = _Underdetermined()
 
 
 def solve_scaled(a, b):
-    """(r, d, y) for the system row_i . x = b_i, from one elimination of
-    [a | b]: r is the rank of a, and y = d * x, ints with the signs of x
-    (d > 0), for the unique solution x; else y is the INCONSISTENT
-    sentinel, which wins even when a is rank deficient, or UNDERDETERMINED.
-    Ragged rows, or a b of the wrong length, raise ValidationError."""
+    """(r, d, y) for the system row_i . x = b_i: r is the rank of a, and
+    y = d * x, ints with the signs of x (d > 0), for the unique solution x;
+    else y is the INCONSISTENT sentinel, which wins even when a is rank
+    deficient, or UNDERDETERMINED.  A nonsingular square system of ints of
+    size at most 3 reads d = |det a| and y = sign(det a) * sum of b_j w_j
+    off a's cofactor rows w_j; any other system comes from one elimination
+    of [a | b], whose d for such a system is the same.  Ragged rows, or a b
+    of the wrong length, raise ValidationError."""
     m = len(a)
     n = len(a[0]) if m else 0
     if len(b) != m or any(len(row) != n for row in a):
         raise ValidationError(f"{len(b)} right-hand sides for {m} equations, or ragged rows")
-    rows = [_integer_row((*row, rhs))[1] for row, rhs in zip(a, b)]
-    pivots, _ = _eliminate(rows, n + 1)
-    if pivots and pivots[-1] == n:  # a pivot in the right-hand side column
-        return len(pivots) - 1, 1, INCONSISTENT
-    if len(pivots) < n:
-        return len(pivots), 1, UNDERDETERMINED
-    d = rows[n - 1][n - 1] if n else 1
-    y = _back_substitute(rows, n, n)
+    if (cof := _cofactors(a)) and cof[0] and all(type(x) is int for x in b):
+        d, w = cof
+        y = [sum(map(operator.mul, b, col)) for col in zip(*w)]
+    else:
+        rows = [_integer_row((*row, rhs))[1] for row, rhs in zip(a, b)]
+        pivots, _ = _eliminate(rows, n + 1)
+        if pivots and pivots[-1] == n:  # a pivot in the right-hand side column
+            return len(pivots) - 1, 1, INCONSISTENT
+        if len(pivots) < n:
+            return len(pivots), 1, UNDERDETERMINED
+        d = rows[n - 1][n - 1] if n else 1
+        y = _back_substitute(rows, n, n)
     return n, abs(d), tuple(y if d > 0 else [-x for x in y])
 
 
@@ -200,14 +248,21 @@ def _back_substitute(rows: list[list[int]], n: int, col: int) -> list[int]:
 def dual_basis(a) -> tuple[int, tuple[IntVec, ...]] | None:
     """(D, w) for a square integer matrix a: D = |det a| and int rows w_i
     with w_i . a_j = D [i = j], the columns of D a^-1; None if a is
-    singular.  One elimination of [a | I], one back substitution per
-    column of I."""
-    n = len(a)
-    rows = [[*row, *e] for row, e in zip(a, identity(n))]
-    if len(_eliminate(rows, n)[0]) < n:
-        return None
-    d = rows[n - 1][n - 1] if n else 1
-    return abs(d), tuple(tuple(x if d > 0 else -x for x in _back_substitute(rows, n, n + i)) for i in range(n))
+    singular.  Up to size 3 they are a's cofactor rows times the sign of
+    its determinant; from size 4, one elimination of [a | I] and one back
+    substitution per column of I."""
+    if cof := _cofactors(a):
+        d, w = cof
+        if not d:
+            return None
+    else:
+        n = len(a)
+        rows = [[*row, *e] for row, e in zip(a, identity(n))]
+        if len(_eliminate(rows, n)[0]) < n:
+            return None
+        d = rows[n - 1][n - 1] if n else 1
+        w = [_back_substitute(rows, n, n + i) for i in range(n)]
+    return abs(d), tuple(tuple(x if d > 0 else -x for x in wi) for wi in w)
 
 
 def echelon_coords(rows, v) -> IntVec | None:
@@ -362,7 +417,7 @@ class LatticeBasis(_LatticeFields):  # no __slots__: the cached properties need 
 
     @cached_property
     def is_standard(self) -> bool:
-        return self.den == 1 and self.num == identity(self.dim)
+        return self.den == 1 and all(x == (i == j) for i, row in enumerate(self.num) for j, x in enumerate(row))
 
     def to_ambient(self, c: Sequence[int]) -> tuple:
         """The point with integer coordinates c in this basis, in Q^dim,

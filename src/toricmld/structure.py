@@ -17,7 +17,8 @@ Three related constructions:
   is recursed into as it is, a cone in its own span in ambient
   coordinates.  Its cones take their rays from the top cone, so every
   level carries one integer row per vector over the top cone's rays; a
-  merge reads its basis off one elimination, its replaced row off one solve.
+  merge reads its basis off one elimination and adds the rest to the
+  first row, which it keeps independent.
 
 The decomposition accepts any interior lattice point, not only a
 minimizer of the log discrepancy; nothing below uses minimality.
@@ -42,7 +43,7 @@ from .cones import (
 from .errors import DependentVectors, InternalError, NotFullDimensional, NotInteriorPoint
 from .germio import format_q
 from .invariants import ToricGerm, pi1_order
-from .linalg import det, dot, express_in_basis, mat_vec, primitive, rank, solve_rational, transpose
+from .linalg import det, dot, express_in_basis, mat_vec, primitive, rank, transpose
 
 
 class Simplicial(NamedTuple):
@@ -208,14 +209,17 @@ def _decompose_rec(cone: Cone, m, top):
     relative interior of the cone."""
     tri = _trichotomy(cone, m)
     if isinstance(tri, Simplicial):
+        # m = sum of (y_i / d) rays[i]; the least k0 with integral k0 y_i / d is d / gcd(d, y)
         if has_opposite_facets(cone):
-            sol = tuple(Fraction(dot(f, m), dot(f, r)) for f, r in zip(cone.facets, cone.rays))
+            b = [dot(f, r) for f, r in zip(cone.facets, cone.rays)]
+            d = math.lcm(*b)
+            y = tuple(dot(f, m) * (d // bi) for f, bi in zip(cone.facets, b))
         else:
-            sol = solve_rational(transpose(cone.rays), m)
-        if not isinstance(sol, tuple) or not all(x > 0 for x in sol):
+            _, d, y = linalg.solve_scaled(transpose(cone.rays), m)
+        if not isinstance(y, tuple) or not all(x > 0 for x in y):
             raise InternalError("an interior point is not a positive combination of simplicial rays")
-        k0 = math.lcm(*[x.denominator for x in sol])
-        return k0, [[int(x * k0) if r == ray else 0 for r in top] for x, ray in zip(sol, cone.rays)]
+        g = math.gcd(d, *y)
+        return d // g, [[x // g if r == ray else 0 for r in top] for x, ray in zip(y, cone.rays)]
     if isinstance(tri, FullDimSubcone):
         return _decompose_rec(tri.tau, m, top)
     k0a, rows = _decompose_rec(tri.tau1, m, top)
@@ -231,14 +235,11 @@ def _decompose_rec(cone: Cone, m, top):
     unused = [row for i, row in enumerate(rows) if i not in keep]
     rows = [rows[i] for i in keep]
     if unused:
+        # w = k0b * m - (tau2's kept vectors) has coordinate k0b / k0a on each
+        # of tau1's vectors, which come first, and -1 on tau2's kept ones;
+        # adding it to row 0 scales the determinant by 1 + k0b / k0a > 0
         w = [sum(col) for col in zip(*unused)]
-        # adding w = sum of c_j b_j to basis vector b_i scales the
-        # determinant by 1 + c_i; y = d * c
-        _, d, y = linalg.solve_scaled(transpose([vectors[i] for i in keep]), mat_vec(cols, w))
-        i = next((i for i, x in enumerate(y) if x != -d), None)
-        if i is None:  # pragma: no cover - impossible: k0*m would vanish
-            raise InternalError("no replacement keeps the family independent")
-        rows[i] = [a + b for a, b in zip(rows[i], w)]
+        rows[0] = [a + b for a, b in zip(rows[0], w)]
     return k0a + k0b, rows
 
 

@@ -1,7 +1,8 @@
 """Gaussian elimination over ``fractions.Fraction``: the references the
 fraction-free kernel in ``toricmld.linalg`` is checked against.
 
-These are the package's earlier ``rank``, ``det``, ``solve_rational``,
+These are the package's earlier ``rank``, ``det``, ``solve_rational``
+(and the ``solve_scaled`` of a square integer system read off it),
 ``express_in_basis`` (through ``coords_in_basis``), the double
 description that starts from an identity lineality space and the
 rank-per-generator extremality test, kept so the tests can compare the
@@ -130,6 +131,19 @@ def solve_rational(a, b):
     for i, c in enumerate(pivot_cols):
         x[c] = aug[i][n]
     return tuple(x)
+
+
+def solve_scaled(a, b):
+    """(r, d, y) of ``toricmld.linalg.solve_scaled`` for a square system of
+    ints, from the Fraction solve: r is the rank of a; for a nonsingular a,
+    d = |det a| and y = d * x, ints, and otherwise d = 1 and y the sentinel."""
+    x = solve_rational(a, b)
+    if not isinstance(x, tuple):
+        return rank(a), 1, x
+    d = abs(det(a))
+    if d.denominator != 1:
+        raise InternalError("solve_scaled's reference takes ints")
+    return len(a), d.numerator, tuple((d * xi).numerator for xi in x)
 
 
 def coords_in_basis(basis: LatticeBasis, v: Sequence) -> RatVec:

@@ -40,6 +40,7 @@ COUNTING = "tests/test_counting_2d.py::test_counting_agrees_with_the_box_points_
 CLOSED_FORMS = "tests/test_counting_2d.py::test_closed_forms_of_ex1_and_ex2"
 SUBTREE = "tests/test_structure.py::test_subtree_test_agrees_with_its_definition"
 RANK_LOOP = "tests/test_structure.py::test_decompose_matches_the_rank_loop_reference"
+INT_SQUARE = "tests/test_elim.py::test_integer_square_systems_match_the_reference"
 TIMEOUT_S = 300  # per test run; a mutant that hangs a test counts as surviving it
 
 MUTANTS = (
@@ -69,8 +70,11 @@ MUTANTS = (
     # the merge of a spanning pair's rows
     Mutant("structure.py", "rows += rows_b", "rows = rows_b + rows",
            (RANK_LOOP,), "tau2's rows before tau1's in the merge"),
-    Mutant("structure.py", "x != -d", "x != d",
-           (RANK_LOOP,), "a replacement row that can make the family dependent"),
+    Mutant("structure.py", "rows[0] = [a + b for a, b in zip(rows[0], w)]", "rows[-1] = [a + b for a, b in zip(rows[-1], w)]",
+           (RANK_LOOP,), "the unused vectors added to a kept vector of tau2"),
+    Mutant("structure.py", "g = math.gcd(d, *y)", "g = math.gcd(*y)",
+           ("tests/test_simplicial.py::test_simplicial_base_case_in_integers_matches_the_solve",),
+           "simplicial base case k0 not reduced by d"),
     # lower-dimensional cones
     Mutant("cones.py", "at = {j: k for k, j in enumerate(pivots)}", "at = {j: k for k, j in enumerate(range(len(pivots)))}",
            ("tests/test_cones.py::test_lower_dimensional_cones_match_the_hermite_reference",),
@@ -79,13 +83,26 @@ MUTANTS = (
     Mutant("cones.py", "return c.dim == c.n == len(c.rays)", "return c.n == len(c.rays)",
            ("tests/test_simplicial.py::test_a_rank_three_cone_with_four_rays_in_q4_is_not_full_dimensional",),
            "has_opposite_facets without the dimension check"),
-    Mutant("linalg.py", "return self.den == 1 and self.num == identity(self.dim)", "return self.num == identity(self.dim)",
+    Mutant("linalg.py", "return self.den == 1 and all(", "return all(",
            ("tests/test_elim.py::test_express_in_basis_matches_the_reference",),
            "is_standard without the denominator check"),
     Mutant("invariants.py", "closed = next(x for x in (dot(wi, y), *wi) if x) < 0",
            "closed = next(x for x in (dot(wi, y), *wi) if x) > 0",
            ("tests/test_box_points.py::test_box_points_match_the_fm_reference_and_the_oracle",),
            "half-open cells close the wrong facets"),
+    # the cofactor kernel of square int matrices of size <= 3, and the elimination
+    Mutant("linalg.py", "c2 * a0 - c0 * a2", "c0 * a2 - c2 * a0",
+           (INT_SQUARE,), "one 3x3 cofactor with the wrong sign"),
+    Mutant("linalg.py", "return n, abs(d), tuple(", "return n, d, tuple(",
+           (INT_SQUARE,), "solve_scaled's d without its sign normalised"),
+    Mutant("linalg.py", "        if len(row) != n:\n            return None\n", "",
+           ("tests/test_elim.py::test_solve_outcomes_and_edge_cases",),
+           "cofactors of ragged or empty rows"),
+    Mutant("linalg.py", "if type(x) is not int:", "if False:",
+           ("tests/test_elim.py::test_fraction_and_bool_systems_take_the_elimination",),
+           "cofactors of Fraction matrices"),
+    Mutant("linalg.py", "if f == 0 and p == prev:", "if f == 0:",
+           (INT_SQUARE,), "zero-row skip without p == prev"),
     # the group order and invariant factors
     Mutant("linalg.py", "            g = math.gcd(d[i], d[j])\n            d[i], d[j] = g, d[i] * d[j] // g\n",
            "            pass\n",

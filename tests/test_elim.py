@@ -26,9 +26,11 @@ from toricmld.linalg import (
     identity,
     independent_rows,
     lattice_from_generators,
+    mat_vec,
     primitive,
     rank,
     solve_rational,
+    solve_scaled,
 )
 
 entries = st.one_of(
@@ -112,6 +114,95 @@ def test_dual_basis_signs_sizes_and_singular_inputs():
     assert dual_basis([(0, 1), (1, 0)]) == (1, ((0, 1), (1, 0)))
     assert dual_basis([(2, 0), (0, -3)]) == (6, ((3, 0), (0, -2)))
     assert dual_basis([(1, 2), (2, 4)]) is None
+
+
+def _int_square(draw, n, kind):
+    """A square matrix of ints of size n: any, singular (its last row a
+    combination of the others), with a zero row, or unimodular (a triangle
+    with diagonal +-1, rows mixed by adding multiples and permuted)."""
+    ints = st.integers(-4, 4)
+    if kind == "unimodular":
+        a = [[draw(st.sampled_from((1, -1))) if i == j else draw(ints) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+        for _ in range(n):
+            i, j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(ints)
+            if i != j:
+                a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        return [tuple(a[i]) for i in draw(st.permutations(range(n)))]
+    a = [tuple(draw(ints) for _ in range(n)) for _ in range(n)]
+    if kind == "singular":
+        ks = [draw(ints) for _ in range(n - 1)]
+        a[-1] = tuple(sum(k * row[j] for k, row in zip(ks, a)) for j in range(n))
+    elif kind == "zero row":
+        a[draw(st.integers(0, n - 1))] = (0,) * n
+    return a
+
+
+def test_integer_square_systems_match_the_reference():
+    """Square matrices of ints of sizes 1-3 take the cofactors and size 4
+    the elimination; on both sides of that switch, dual_basis, det, rank
+    and the exact (r, d, y) of solve_scaled equal the Fraction reference,
+    for singular, unimodular and zero-row matrices and right-hand sides
+    with a unique solution, none (INCONSISTENT) and many (UNDERDETERMINED)."""
+    seen = Counter()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(n, kind) for n in range(1, 5) for kind in ("any", "singular", "zero row", "unimodular")]),
+           st.booleans(), st.data())
+    def check(shape, image, data):
+        n, kind = shape
+        a = _int_square(data.draw, n, kind)
+        # b = a . x is consistent whatever a's rank; a drawn b is rarely so when a is singular
+        x = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+        b = mat_vec(a, x) if image else tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+        sign = _check_dual_basis(a)
+        assert det(a) == ref.det(a) and rank(a) == ref.rank(a)
+        r, d, y = got = solve_scaled(a, b)
+        assert got == ref.solve_scaled(a, b), (a, b)
+        assert type(r) is int and type(d) is int and d > 0
+        outcome = y if y in (INCONSISTENT, UNDERDETERMINED) else "unique"
+        if outcome == "unique":
+            assert all(type(v) is int for v in y)
+        if kind == "unimodular":
+            assert abs(ref.det(a)) == 1
+        seen[n, outcome] += 1
+        seen[n, kind, sign] += 1
+
+    check()
+    for n in range(1, 5):
+        assert all(seen[n, outcome] for outcome in ("unique", INCONSISTENT, UNDERDETERMINED)), (n, seen)
+        assert all(seen[n, kind, 0] for kind in ("singular", "zero row")), (n, seen)
+        assert all(seen[n, "unimodular", sign] for sign in (1, -1) if n > 1), (n, seen)
+
+
+def test_fraction_and_bool_systems_take_the_elimination():
+    """A small square system with a Fraction or bool entry, in the matrix
+    or the right-hand side, is solved by the elimination of its scaled
+    rows: d and y stay ints, and the solution is the reference's."""
+    rng = random.Random(29)
+    kinds = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        b = [rng.randint(-3, 3) for _ in range(n)]
+        kind = rng.choice(("Fraction entry", "integral Fraction entry", "bool entry", "Fraction right-hand side"))
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == "Fraction entry":
+            a[i][j] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
+        elif kind == "integral Fraction entry":
+            a[i][j] = Fraction(a[i][j])
+        elif kind == "bool entry":
+            a[i][j] = bool(a[i][j] % 2)
+        else:
+            b[i] = Fraction(2 * b[i] + 1, 3)
+        r, d, y = solve_scaled(a, b)
+        assert type(r) is int and type(d) is int and d > 0
+        if y not in (INCONSISTENT, UNDERDETERMINED):
+            assert all(type(v) is int for v in y)
+            kinds[kind] += 1
+        assert solve_rational(a, b) == ref.solve_rational(a, b)
+        assert det(a) == ref.det(a) and rank(a) == ref.rank(a)
+    assert len(kinds) == 4, kinds
 
 
 def test_solve_outcomes_and_edge_cases():

@@ -612,28 +612,33 @@ def test_decompose_agrees_with_the_vectors_and_grids_reference(monkeypatch):
 
 
 def test_decompose_matches_the_rank_loop_reference(monkeypatch):
-    """Rows over the top cone's rays, merged by one elimination and one
-    solve, equal the rank loop that maps each level's rows into its own
-    columns, on the cross-polytope cones of dims 3-8, parabola cones and
-    drawn germs.  Each merge with unused rows solves for the row it
-    replaces: the cross-polytope of dim n makes n - 2 of them.  Every one
-    lands on row 0, where w's coordinate is k0b / k0a > 0, as w is k0b / k0a
-    times the sum of tau1's vectors less the kept vectors of tau2."""
+    """Rows over the top cone's rays, merged by one elimination that adds
+    the unused rows to row 0, equal the rank loop that maps each level's
+    rows into its own columns, on the cross-polytope cones of dims 3-8,
+    parabola cones and drawn germs.  The cross-polytope of dim n makes
+    n - 2 merges with unused rows.  In each, the sum w of the unused
+    vectors has a positive coordinate on the first kept vector: w is
+    k0b / k0a times the sum of tau1's vectors less the kept vectors of
+    tau2, so it is row 0 that adding w keeps independent."""
     import decompose_reference
     from conftest import germs
 
     from toricmld import linalg
 
     replaced = []
-    real_solve = linalg.solve_scaled
+    real_rows = linalg.independent_rows
 
-    def solve(a, b):
-        r, d, y = real_solve(a, b)
-        if sys._getframe(1).f_code.co_name == "_decompose_rec":
-            replaced.append(next(i for i, x in enumerate(y) if x != -d))
-        return r, d, y
+    def independent_rows(vectors):
+        keep = real_rows(vectors)
+        unused = [v for i, v in enumerate(vectors) if i not in keep]
+        if sys._getframe(1).f_code.co_name == "_decompose_rec" and unused:
+            w = [sum(col) for col in zip(*unused)]
+            x = elim_ref.solve_rational(list(zip(*[vectors[i] for i in keep])), w)
+            assert x[0] > 0 and all(c in (x[0], -1) for c in x), x
+            replaced.append(next(i for i, c in enumerate(x) if c != -1))
+        return keep
 
-    monkeypatch.setattr(linalg, "solve_scaled", solve)
+    monkeypatch.setattr(linalg, "independent_rows", independent_rows)
 
     def check(g, m):
         d = t.decompose(g, m)
