@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import lab, oracle, structure
 from .errors import ParseError, ToricError, ValidationError
@@ -228,7 +229,65 @@ def _cmd_scan(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# built at the first main call and kept: a build leaves hundreds of objects of cyclic garbage
+class _Option(NamedTuple):
+    flag: str
+    help: str | None = None
+    required: bool = False
+    store_true: bool = False
+    metavar: str | None = None
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], dict]
+    help: str
+    germ: bool
+    options: tuple[_Option, ...]
+
+
+# the one spec of the command line: _build_parser and _parse_exact both read it
+_COMMON = (
+    _Option("--pretty", "human-readable table", store_true=True),
+    _Option("--out", "also write the JSON document here", metavar="FILE"),
+)
+_POINT = _Option("--point", "comma-separated coordinates", required=True)
+_COMMANDS = {
+    "mld": _Command(_cmd_mld, "minimal log discrepancy and all minimizers", True, (
+        _Option("--bound", "a bound the mld must not exceed (rational)"),
+    )),
+    "oracle-mld": _Command(_cmd_oracle_mld, "brute-force oracle (mld, or window with --low/--high)", True, (
+        _Option("--bound", "override the enumeration bound (rational)"),
+        _Option("--low", "window lower end (rational)"),
+        _Option("--high", "window upper end (rational)"),
+    )),
+    "pi1": _Command(_cmd_pi1, "regional fundamental group invariant factors", True, ()),
+    "window": _Command(_cmd_window, "lattice points with log discrepancy in [low, high)", True, (
+        _Option("--low", required=True),
+        _Option("--high", required=True),
+    )),
+    "check": _Command(_cmd_check, "classify a (germ, epsilon, delta) instance", True, (
+        _Option("--epsilon", required=True),
+        _Option("--delta", required=True),
+    )),
+    "trichotomy": _Command(_cmd_trichotomy, "structural trichotomy at an interior point", True, (_POINT,)),
+    "decompose": _Command(_cmd_decompose, "bounded decomposition of an interior point", True, (_POINT,)),
+    "blowup": _Command(_cmd_blowup, "blow-up report at a minimizer of the mld", True, ()),
+    "family": _Command(_cmd_family, "emit a germ document of a named family", False, (
+        _Option("--name", required=True, choices=tuple(lab.FAMILIES)),
+        _Option("--param", required=True, type=int),
+    )),
+    "scan": _Command(_cmd_scan, "aggregate a scan specification", False, (
+        _Option("--spec", "scan spec JSON file", required=True),
+    )),
+}
+
+
+# built only for an argv outside the exact grammar, and kept: a build leaves hundreds of objects of cyclic garbage
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -236,50 +295,65 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of toric klt singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, germ_arg=True):
-        p = sub.add_parser(name, help=help_text)
-        if germ_arg:
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.germ:
             p.add_argument("germ", help="germ JSON document ('-' for stdin)")
-        p.add_argument("--pretty", action="store_true", help="human-readable table")
-        p.add_argument("--out", metavar="FILE", help="also write the JSON document here")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("mld", _cmd_mld, "minimal log discrepancy and all minimizers")
-    p.add_argument("--bound", help="a bound the mld must not exceed (rational)")
-
-    p = add("oracle-mld", _cmd_oracle_mld, "brute-force oracle (mld, or window with --low/--high)")
-    p.add_argument("--bound", help="override the enumeration bound (rational)")
-    p.add_argument("--low", help="window lower end (rational)")
-    p.add_argument("--high", help="window upper end (rational)")
-
-    add("pi1", _cmd_pi1, "regional fundamental group invariant factors")
-
-    p = add("window", _cmd_window, "lattice points with log discrepancy in [low, high)")
-    p.add_argument("--low", required=True)
-    p.add_argument("--high", required=True)
-
-    p = add("check", _cmd_check, "classify a (germ, epsilon, delta) instance")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--delta", required=True)
-
-    p = add("trichotomy", _cmd_trichotomy, "structural trichotomy at an interior point")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-
-    p = add("decompose", _cmd_decompose, "bounded decomposition of an interior point")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-
-    add("blowup", _cmd_blowup, "blow-up report at a minimizer of the mld")
-
-    p = add("family", _cmd_family, "emit a germ document of a named family", germ_arg=False)
-    p.add_argument("--name", required=True, choices=list(lab.FAMILIES))
-    p.add_argument("--param", required=True, type=int)
-
-    p = add("scan", _cmd_scan, "aggregate a scan specification", germ_arg=False)
-    p.add_argument("--spec", required=True, help="scan spec JSON file")
-
+        for opt in _COMMON + cmd.options:
+            if opt.store_true:
+                p.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, help=opt.help, required=opt.required, metavar=opt.metavar,
+                               type=opt.type, choices=opt.choices)
+        p.set_defaults(func=cmd.handler)
     return parser
+
+
+def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``argv`` when it keeps to the exact
+    grammar, and None otherwise, for argparse to parse: a command name,
+    then each option spelled in full at most once (``--low 1`` or
+    ``--low=1``; a store-true flag without ``=``) and the germ, if the
+    command takes one, in any order; a value in its own token is ``-`` or
+    does not start with ``-``; every required option is given, and its
+    type and choices hold."""
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    options = {opt.flag: opt for opt in _COMMON + cmd.options}
+    values, germ = {}, []
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token == "-" or not token.startswith("-"):
+            germ.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        opt = options.get(flag)
+        if opt is None or opt.dest in values or opt.store_true and eq:
+            return None
+        if opt.store_true:
+            value = True
+        elif not eq:
+            if i == n or argv[i] != "-" and argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if len(germ) != int(cmd.germ) or any(opt.required and opt.dest not in values for opt in options.values()):
+        return None
+    if cmd.germ:
+        values["germ"] = germ[0]
+    defaults = {opt.dest: False if opt.store_true else None for opt in options.values()}
+    return argparse.Namespace(command=argv[0], func=cmd.handler, **(defaults | values))
 
 
 def _attach_point_values(argv: list[str]) -> list[str]:
@@ -302,11 +376,9 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _attach_point_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(_attach_point_values(list(argv)))
+        args = _parse_exact(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -74,10 +74,11 @@ def mat_vec(a, x) -> tuple:
 def _integer_row(row) -> tuple[int, list[int]]:
     """(d, d * row) with d the lcm of the row's denominators, so that
     d * row is a list of ints (d is 1 for a row of ints)."""
-    if all(type(x) is int for x in row):
-        return 1, list(row)
-    d = math.lcm(*[x.denominator for x in row])
-    return d, [(x * d).numerator for x in row]
+    for x in row:  # a plain loop, as in _cofactors
+        if type(x) is not int:
+            d = math.lcm(*[y.denominator for y in row])
+            return d, [(y * d).numerator for y in row]
+    return 1, list(row)
 
 
 def _cofactors(a) -> tuple[int, tuple[IntVec, ...]] | None:

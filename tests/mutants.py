@@ -41,6 +41,7 @@ CLOSED_FORMS = "tests/test_counting_2d.py::test_closed_forms_of_ex1_and_ex2"
 SUBTREE = "tests/test_structure.py::test_subtree_test_agrees_with_its_definition"
 RANK_LOOP = "tests/test_structure.py::test_decompose_matches_the_rank_loop_reference"
 INT_SQUARE = "tests/test_elim.py::test_integer_square_systems_match_the_reference"
+GRAMMAR = "tests/test_cli_grammar.py::test_the_grammar_accepts_what_argparse_accepts_with_the_same_namespace"
 TIMEOUT_S = 300  # per test run; a mutant that hangs a test counts as surviving it
 
 MUTANTS = (
@@ -98,7 +99,7 @@ MUTANTS = (
     Mutant("linalg.py", "        if len(row) != n:\n            return None\n", "",
            ("tests/test_elim.py::test_solve_outcomes_and_edge_cases",),
            "cofactors of ragged or empty rows"),
-    Mutant("linalg.py", "if type(x) is not int:", "if False:",
+    Mutant("linalg.py", "if type(x) is not int:\n                return None", "if False:\n                return None",
            ("tests/test_elim.py::test_fraction_and_bool_systems_take_the_elimination",),
            "cofactors of Fraction matrices"),
     Mutant("linalg.py", "if f == 0 and p == prev:", "if f == 0:",
@@ -126,6 +127,13 @@ MUTANTS = (
            (COUNTING,), "one column past the last x"),
     Mutant("invariants.py", "a = -(u * x2 + v * y2) % r", "a = (u * x2 + v * y2) % r",
            (COUNTING, CLOSED_FORMS), "a = Y mod r, not -Y mod r"),
+    # the exact command-line grammar, which argparse must agree with
+    Mutant("cli.py", " or any(opt.required and opt.dest not in values for opt in options.values())", "",
+           (GRAMMAR,), "exact grammar without the required options"),
+    Mutant("cli.py", "if opt is None or opt.dest in values or", "if opt is None or",
+           (GRAMMAR,), "exact grammar with a repeated option"),
+    Mutant("cli.py", 'if i == n or argv[i] != "-" and argv[i].startswith("-"):', "if i == n:",
+           (GRAMMAR,), "exact grammar with a value token that starts with '-'"),
 )
 
 
