@@ -209,7 +209,7 @@ def _cells(cone: Cone) -> list[tuple[int, ...]]:
 def _box_points(rb: Rebased):
     """The box points of each half-open cell, one per coset of its rays V,
     as (V, their L numerators, d, cols, values): the k-th is the point
-    sum_i cols[i][k] V_i / d (``_box_point``), of L numerator values[k].
+    sum_i cols[i][k] V_i / d, of L numerator values[k].
 
     A point u belongs to the cell whose interior holds u - t*y for small
     t > 0, with y the ray sum perturbed lexicographically along the
@@ -250,35 +250,53 @@ def _cell_dual(cone: Cone, v, diag):
     return linalg.dual_basis(v)
 
 
-def _box_point(v, d: int, cols, k: int) -> tuple[int, ...]:
-    """The k-th box point of a cell of ``_box_points``, in rebased coordinates."""
-    c = [col[k] for col in cols]
-    return tuple(dot(c, coord) // d for coord in zip(*v))
+def _lift(cols, steps, top: int):
+    """The points p + sum_i j_i steps[i], j_i >= 0, of L numerator <= top,
+    over points p of numerator <= top held column by column, numerators in
+    cols[0]; a step is a ray's numerator, then its entries in the other
+    columns.  One step at a time, so each point comes once.  A step above
+    top - min(cols[0]) lifts nothing: it is skipped, and if all are, so is
+    the copy of ``cols``."""
+    room = top - min(cols[0], default=top)
+    for step in steps:
+        ell = step[0]
+        if ell > room:
+            continue
+        reps = [(top - x) // ell + 1 for x in cols[0]]
+        cols = [[a + j * s for a, m in zip(col, reps) for j in range(m)] for col, s in zip(cols, step)]
+    return cols
 
 
-def _lifted_values(cells, b_num: int) -> list[int]:
-    """The numerators L(u) <= b_num of the interior lattice points u, one
-    per point: each box point value of ``cells`` (``_box_points``) plus the
-    nonnegative combinations of its cell's ray values, one ray at a time."""
-    result = []
-    for _, ells, _, _, values in cells:
-        for ell in ells:
-            values = [x + j * ell for x in values for j in range((b_num - x) // ell + 1)]
-        result += values
-    return result
-
-
-def _lift_columns(values, coords, ells, rays, top: int):
-    """The numerators L(u) <= top of the points u = p + sum_i j_i rays[i],
-    j_i >= 0, over points p held column by column (``coords``, one list
-    per coordinate) with numerators ``values``, and u's columns; one ray
-    at a time, so each u comes once.  ``_lifted_values`` lifts values
-    alone in one pass per ray, which this two-pass form would slow."""
-    for ell, ray in zip(ells, rays):
-        reps = [(top - x) // ell + 1 for x in values]
-        values = [x + j * ell for x, m in zip(values, reps) for j in range(m)]
-        coords = [[a + j * r for a, m in zip(col, reps) for j in range(m)] for col, r in zip(coords, ray)]
-    return values, coords
+def _window(germ: ToricGerm, cells, lo_num: int, hi_num: int) -> list[tuple[Point, int]]:
+    """The sorted (ambient point, L numerator) pairs of the interior lattice
+    points of numerator in [lo_num, hi_num), from the ``_box_points`` cells.
+    Each cell's box points below hi_num are lifted on integer columns of
+    den_N times the ambient point, den_N being N's denominator, which sort
+    as the points do; a cell with none builds no column, and only the
+    points kept become tuples."""
+    lat = germ.lattice
+    num_cols = None if lat.is_standard else linalg.transpose(lat.num)
+    keys = []
+    for v, ells, d, cols, values in cells:
+        below = [k for k, x in enumerate(values) if x < hi_num]
+        if not below:
+            continue
+        rays = v if num_cols is None else [linalg.mat_vec(num_cols, r) for r in v]
+        # the box points below hi_num, d times den_N times their ambient coordinates
+        coords = [[0] * len(below) for _ in range(germ.dim)]
+        for col, ray in zip(cols, rays):
+            picked = [col[k] for k in below]
+            coords = [[a + c * r for a, c in zip(acc, picked)] if r else acc for acc, r in zip(coords, ray)]
+        xs, *coords = _lift(
+            [[values[k] for k in below], *([a // d for a in acc] for acc in coords)],
+            [(ell, *ray) for ell, ray in zip(ells, rays)], hi_num - 1,
+        )
+        keep = [x >= lo_num for x in xs]
+        keys += zip(*[compress(acc, keep) for acc in coords], compress(xs, keep))
+    keys.sort()
+    den = lat.den
+    return [(tuple(a // den if a % den == 0 else Fraction(a, den) for a in key[:-1]) if den > 1 else key[:-1], key[-1])
+            for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +329,11 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
     points, with every minimizer.
 
     Every interior lattice point is a box point plus rays of positive L, so
-    the minimizers are the box points of least L.  The ray sum is an
-    interior lattice point, so L(ray sum), the default bound, certifies the
-    minimum; BoundBelowMinimum is raised iff the minimum exceeds the bound.
+    the minimum is the least box-point numerator m, and the minimizers are
+    the window of numerators [m, m + 1) (``_window``), which no ray reaches.
+    The ray sum is an interior lattice point, so L(ray sum), the default
+    bound, certifies the minimum; BoundBelowMinimum is raised iff the
+    minimum exceeds the bound.
     """
     rb = germ.rebased
     b = Fraction(rb.ray_sum_value(), rb.den) if bound is None else Fraction(bound)
@@ -324,47 +344,20 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
         raise BoundBelowMinimum(
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
-    pts = [_box_point(v, d, cols, k) for v, _, d, cols, xs in cells for k, x in enumerate(xs) if x == value]
-    return MldResult(Fraction(value, rb.den), tuple(sorted(map(germ.lattice.to_ambient, pts))), b)
+    minimizers = tuple(p for p, _ in _window(germ, cells, value, value + 1))
+    return MldResult(Fraction(value, rb.den), minimizers, b)
 
 
 def count_window(germ: ToricGerm, low, high) -> WindowCount:
-    """All interior lattice points with log discrepancy in [low, high).
-
-    Each cell's box points below high are lifted column by column: one
-    list per coordinate of den_N times the ambient point (``_lift_columns``),
-    den_N being N's denominator, which orders the points as the ambient
-    coordinates do.  Only the points kept become tuples, and only the
-    returned ones hold Fractions.
-    """
+    """All interior lattice points with log discrepancy in [low, high),
+    sorted (``_window``); only the returned points hold Fractions."""
     lo, hi = Fraction(low), Fraction(high)
     if not (0 < lo <= hi):
         raise InvalidWindow("window must satisfy 0 < low <= high")
-    rb, lat = germ.rebased, germ.lattice
+    rb = germ.rebased
     # integer numerators v with lo <= v / den < hi
     lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
-    num_cols = None if lat.is_standard else linalg.transpose(lat.num)
-    keys = []
-    for v, ells, d, cols, values in _box_points(rb):
-        below = [k for k, x in enumerate(values) if x < hi_num]
-        rays = v if num_cols is None else [linalg.mat_vec(num_cols, r) for r in v]
-        # the box points below hi, d times den_N times their ambient coordinates
-        coords = [[0] * len(below) for _ in range(germ.dim)]
-        for col, ray in zip(cols, rays):
-            picked = [col[k] for k in below]
-            coords = [[a + c * r for a, c in zip(acc, picked)] if r else acc for acc, r in zip(coords, ray)]
-        xs, coords = _lift_columns(
-            [values[k] for k in below], [[a // d for a in acc] for acc in coords], ells, rays, hi_num - 1
-        )
-        keep = [x >= lo_num for x in xs]
-        keys += zip(*[compress(acc, keep) for acc in coords], compress(xs, keep))
-    keys.sort()
-    den = lat.den
-    points = tuple(
-        (tuple(a // den if a % den == 0 else Fraction(a, den) for a in key[:-1]) if den > 1 else key[:-1],
-         Fraction(key[-1], rb.den))
-        for key in keys
-    )
+    points = tuple((p, Fraction(x, rb.den)) for p, x in _window(germ, _box_points(rb), lo_num, hi_num))
     return WindowCount(lo, hi, points, len(points))
 
 
@@ -377,7 +370,7 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     (``_plane_counter``), and the mld numerator is the least k with a point
     of numerator <= k, found by bisection below L(ray sum).  Otherwise the
     mld is the least value over the box points, and one lift of them up to
-    mld + max(deltas) gives every count.
+    mld + max(deltas), values only (``_lift``), gives every count.
     """
     rb = germ.rebased
     if germ.dim == 2:
@@ -392,8 +385,9 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     # the largest numerator inside [m, m + delta)
     tops = [m + math.ceil(Fraction(d) * rb.den) - 1 for d in deltas]
     if germ.dim != 2:
-        values = sorted(_lifted_values(cells, max(tops))) if tops else []
-        count = partial(bisect.bisect_right, values)
+        top = max(tops, default=m - 1)
+        lifts = [_lift([[x for x in xs if x <= top]], [(ell,) for ell in ells], top)[0] for _, ells, _, _, xs in cells]
+        count = partial(bisect.bisect_right, sorted(x for xs in lifts for x in xs))
     return Fraction(m, rb.den), tuple(map(count, tops))
 
 

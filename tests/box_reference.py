@@ -11,9 +11,12 @@ depth-first walk over the cell's rays.  ``orbifold`` is the earlier
 with n_ray = floor(1 / (1 - coeff)), and hands them, with N's rows, to
 ``lattice_from_generators``.  ``count_window`` is the earlier window
 lift over the column-wise box points: it builds one point tuple per box
-point below ``high`` and per lifted point, converts each to ambient
-coordinates and sorts the (point, ``Fraction`` value) pairs.  Nothing in
-``src/`` imports this module.
+point below ``high`` (``_box_point``) and per lifted point, converts each
+to ambient coordinates and sorts the (point, ``Fraction`` value) pairs.
+``mld`` is the earlier ``invariants.mld``, which builds one tuple per
+minimizing box point, and ``lifted_values`` the earlier values-only lift
+of ``invariants.mld_window_counts``, one pass per ray over every box
+value.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import operator
 from fractions import Fraction
 
 from toricmld import invariants, linalg
-from toricmld.invariants import Rebased, ToricGerm, WindowCount, _cells
+from toricmld.errors import BoundBelowMinimum
+from toricmld.invariants import MldResult, Rebased, ToricGerm, WindowCount, _cells
 from toricmld.linalg import LatticeBasis, dot, lattice_from_generators
 
 
@@ -83,6 +87,46 @@ def orbifold(germ: ToricGerm) -> LatticeBasis:
     return lattice_from_generators(germ.dim, gens)
 
 
+def _box_point(v, d: int, cols, k: int) -> tuple[int, ...]:
+    """The k-th box point of a cell of ``invariants._box_points``, in rebased coordinates."""
+    c = [col[k] for col in cols]
+    return tuple(dot(c, coord) // d for coord in zip(*v))
+
+
+def lifted_values(cells, b_num: int) -> list[int]:
+    """The numerators L(u) <= b_num of the interior lattice points u, one
+    per point: each box point value of ``cells`` (``invariants._box_points``) plus the
+    nonnegative combinations of its cell's ray values, one ray at a time."""
+    result = []
+    for _, ells, _, _, values in cells:
+        for ell in ells:
+            values = [x + j * ell for x in values for j in range((b_num - x) // ell + 1)]
+        result += values
+    return result
+
+
+def mld(germ: ToricGerm, bound=None) -> MldResult:
+    """Minimum of the log discrepancy functional over interior lattice
+    points, with every minimizer.
+
+    Every interior lattice point is a box point plus rays of positive L, so
+    the minimizers are the box points of least L.  The ray sum is an
+    interior lattice point, so L(ray sum), the default bound, certifies the
+    minimum; BoundBelowMinimum is raised iff the minimum exceeds the bound.
+    """
+    rb = germ.rebased
+    b = Fraction(rb.ray_sum_value(), rb.den) if bound is None else Fraction(bound)
+    b_num = math.floor(b * rb.den)
+    cells = list(invariants._box_points(rb))
+    value = min(min(values) for *_, values in cells)
+    if value > b_num:
+        raise BoundBelowMinimum(
+            f"no interior lattice point with L <= {b}; the bound is below the minimum"
+        )
+    pts = [_box_point(v, d, cols, k) for v, _, d, cols, xs in cells for k, x in enumerate(xs) if x == value]
+    return MldResult(Fraction(value, rb.den), tuple(sorted(map(germ.lattice.to_ambient, pts))), b)
+
+
 def count_window(germ: ToricGerm, low, high) -> WindowCount:
     """All interior lattice points with log discrepancy in [low, high)."""
     lo, hi = Fraction(low), Fraction(high)
@@ -94,7 +138,7 @@ def count_window(germ: ToricGerm, low, high) -> WindowCount:
     kept = []
     for v, ells, d, cols, values in invariants._box_points(rb):
         # box points below hi, then plus nonnegative combinations of the cell's rays
-        pts = [(x, invariants._box_point(v, d, cols, k)) for k, x in enumerate(values) if x < hi_num]
+        pts = [(x, _box_point(v, d, cols, k)) for k, x in enumerate(values) if x < hi_num]
         for ell, ray in zip(ells, v):
             pts = [
                 (x + j * ell, tuple(a + j * r for a, r in zip(p, ray)))

@@ -115,6 +115,16 @@ MUTANTS = (
     Mutant("invariants.py", "if all(m == 1 for m in ms):", "if True:",
            (PI1 + "test_pi1_order_and_the_orbifold_short_cut_match_the_slow_paths",),
            "the orbifold short cut always taken"),
+    # the one lifter and the one window lister
+    Mutant("invariants.py", "if ell > room:", "if ell >= room:",
+           ("tests/test_box_points.py::test_count_window_matches_the_tuple_reference",),
+           "a ray that lifts the least point by exactly top - min skipped"),
+    Mutant("invariants.py", "        if ell > room:\n            continue\n", "",
+           ("tests/test_box_points.py::test_lift_skips_the_rays_that_lift_no_point",),
+           "no skip of the rays that lift no point"),
+    Mutant("invariants.py", "value, value + 1)", "value, value + 2)",
+           ("tests/test_box_points.py::test_box_points_match_the_fm_reference_and_the_oracle",),
+           "mld's minimizers from the window [min, min + 2)"),
     # rebasing maps the parsed cone
     Mutant("invariants.py", "facets if cones.has_opposite_facets(cone) else sorted(facets)", "facets",
            (REBASE,), "rebased facets left unsorted"),

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_reference
+import cyclic_reference
 import fm_reference as ref
 import toricmld as t
 from toricmld import invariants, oracle
@@ -40,10 +41,10 @@ def test_box_points_match_the_fm_reference_and_the_oracle():
     @given(germs(), st.data())
     def check(germ, data):
         m = ref.mld(germ)
-        assert t.mld(germ) == m
+        assert t.mld(germ) == m == box_reference.mld(germ)
         bound = m.value + F(data.draw(st.integers(-4, 4)), 4)
         got = outcome(t.mld, germ, bound)
-        assert got == outcome(ref.mld, germ, bound)
+        assert got == outcome(ref.mld, germ, bound) == outcome(box_reference.mld, germ, bound)
         low = max(F(1, 4), m.value + F(data.draw(st.integers(-2, 4)), 4))
         high = low + F(data.draw(st.integers(0, 6)), 4)
         window = t.count_window(germ, low, high)
@@ -70,7 +71,8 @@ def test_box_points_match_the_fm_reference_and_the_oracle():
 def test_box_points_match_the_tuple_reference():
     """Per cell, the column-wise box points and their values are the
     tuple-based reference's, each coset once, and the values lifted ray
-    by ray are those of the reference's walk, with multiplicity."""
+    by ray (``_lift`` on values alone) are those of the reference's walk
+    and of the one-pass values lift, with multiplicity."""
     seen = Counter()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -84,14 +86,19 @@ def test_box_points_match_the_tuple_reference():
             for rays, group in itertools.groupby(boxes, key=lambda box: tuple(box[2]))
         ]
         got = [
-            (tuple(v), Counter((invariants._box_point(v, d, cols, k), x) for k, x in enumerate(values)))
+            (tuple(v), Counter((box_reference._box_point(v, d, cols, k), x) for k, x in enumerate(values)))
             for v, _, d, cols, values in cells
         ]
         assert got == expected
         assert all(len(values) == d for _, _, d, _, values in cells)
         b_num = min(min(values) for *_, values in cells) + halves * rb.den // 2
         lifted = Counter(val for _, val in box_reference._interior_points_upto(boxes, b_num))
-        assert Counter(invariants._lifted_values(cells, b_num)) == lifted
+        assert Counter(box_reference.lifted_values(cells, b_num)) == lifted
+        values_only = Counter(
+            x for _, ells, _, _, xs in cells
+            for x in invariants._lift([[x for x in xs if x <= b_num]], [(ell,) for ell in ells], b_num)[0]
+        )
+        assert values_only == lifted
 
         seen[f"dim {germ.dim}"] += 1
         seen["non-simplicial"] += len(germ.cone.rays) > germ.dim
@@ -129,25 +136,43 @@ def test_orbifold_matches_the_fraction_reference():
             assert t.multiplicity(F(p, q)) == math.floor(1 / (1 - F(p, q)))
 
 
-def _count_built_points(monkeypatch) -> list:
-    """Record every box point tuple the package builds."""
-    built = []
-    real = invariants._box_point
+def _recording_lifts(monkeypatch) -> list:
+    """Record the input and output columns of every ``_lift`` call."""
+    calls = []
+    real = invariants._lift
 
-    def counting(v, d, cols, k):
-        built.append(k)
-        return real(v, d, cols, k)
+    def lift(cols, steps, top):
+        out = real(cols, steps, top)
+        calls.append((cols, out))
+        return out
 
-    monkeypatch.setattr(invariants, "_box_point", counting)
-    return built
+    monkeypatch.setattr(invariants, "_lift", lift)
+    return calls
 
 
 def test_mld_builds_a_point_for_each_minimizer_only(monkeypatch):
     germ = t.family("ex1", 3000)
     boxes = sum(len(values) for *_, values in invariants._box_points(germ.rebased))
-    built = _count_built_points(monkeypatch)
+    calls = _recording_lifts(monkeypatch)
     minimizers = t.mld(germ).minimizers
-    assert len(built) == len(minimizers) < boxes
+    assert sum(len(cols[0]) for cols, _ in calls) == len(minimizers) < boxes
+
+
+def test_lift_skips_the_rays_that_lift_no_point(monkeypatch):
+    """No ray lifts a minimizer, and no ray of L at least a window's width
+    lifts a point into it: ``_lift`` then returns its input columns, and
+    copies none of them."""
+    germs = [t.family("ex1", 3000), cyclic_reference.germ(101, (1, 7, 93))]
+    calls = _recording_lifts(monkeypatch)
+    for germ in germs:
+        minimizers = t.mld(germ).minimizers
+        assert sum(len(cols[0]) for cols, _ in calls) == len(minimizers) > 1
+        assert all(out is cols for cols, out in calls)
+        calls.clear()
+    germ = t.family("ex2", 2000)  # every ray has L = 1
+    window = t.count_window(germ, F(1, 100), F(1, 50))
+    assert window.count > 0 and calls
+    assert all(out is cols for cols, out in calls)
 
 
 def test_count_window_matches_the_tuple_reference():
@@ -178,20 +203,19 @@ def test_count_window_matches_the_tuple_reference():
 
 def test_narrow_window_lifts_the_box_points_below_high_only(monkeypatch):
     """``count_window`` lifts the box points below high only, and no point
-    past high; it builds no ``_box_point`` tuple, and key tuples and
-    Fractions for the returned points only, though it lifts points below
-    low too."""
+    past high; it builds key tuples and Fractions for the returned points
+    only, though it lifts points below low too."""
     germ = t.family("ex2", 2000)
     rb = germ.rebased
     lo_num, hi_num = math.ceil(F(1, 100) * rb.den), math.ceil(F(1, 50) * rb.den)
     values = [x for *_, vals in invariants._box_points(rb) for x in vals]
     below = sum(x < hi_num for x in values)
     lifted, yielded, fractions = [], [], []
-    real_lift, real_compress = invariants._lift_columns, invariants.compress
+    real_lift, real_compress = invariants._lift, invariants.compress
 
-    def lift(values, coords, ells, rays, top):
-        out = real_lift(values, coords, ells, rays, top)
-        lifted.append((values, out[0]))
+    def lift(cols, steps, top):
+        out = real_lift(cols, steps, top)
+        lifted.append((cols[0], out[0]))
         return out
 
     def compress(data, selectors):
@@ -204,10 +228,9 @@ def test_narrow_window_lifts_the_box_points_below_high_only(monkeypatch):
             fractions.append(args)
             return F(*args)
 
-    monkeypatch.setattr(invariants, "_lift_columns", lift)
+    monkeypatch.setattr(invariants, "_lift", lift)
     monkeypatch.setattr(invariants, "compress", compress)
     monkeypatch.setattr(invariants, "Fraction", CountingFraction)
-    monkeypatch.setattr(invariants, "_box_point", None)
     window = t.count_window(germ, F(1, 100), F(1, 50))
     assert sum(len(box) for box, _ in lifted) == below
     assert all(x < hi_num for box, out in lifted for x in box + out)

@@ -226,22 +226,22 @@ def test_check_instances_matches_per_instance_path(monkeypatch):
     instances = [t.ConjectureInstance(g, eps, delta) for g in germs for eps, delta in grid]
 
     enumerations = []
-    real_lift, real_counter = invariants._lifted_values, invariants._plane_counter
+    real_box_points, real_counter = invariants._box_points, invariants._plane_counter
 
-    def lifting(cells, b_num):
-        enumerations.append(b_num)
-        return real_lift(cells, b_num)
+    def box_points(rb):
+        enumerations.append(rb)
+        return real_box_points(rb)
 
     def counter(rb):
         enumerations.append(rb)
         return real_counter(rb)
 
-    monkeypatch.setattr(invariants, "_lifted_values", lifting)
+    monkeypatch.setattr(invariants, "_box_points", box_points)
     monkeypatch.setattr(invariants, "_plane_counter", counter)
     fast = t.scan(instances).to_doc()
     monkeypatch.undo()
 
-    # one lift per germ of dimension 3 and up, to mld + max(deltas), and one
+    # one box-point enumeration per germ of dimension 3 and up, and one
     # counter per plane germ; none for the degenerate germ
     assert len(enumerations) == len(set(germs)) - 1
     assert fast == _fold_per_instance(instances).to_doc()
