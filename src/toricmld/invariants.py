@@ -140,7 +140,7 @@ def make_germ(
             f"{len(coeffs)} boundary coefficients for {len(cone.rays)} rays"
         )
     for b in coeffs:
-        if not (0 <= b < 1):
+        if not (0 <= b.numerator < b.denominator):
             raise ValidationError(f"boundary coefficient {b} outside [0, 1)")
     germ = ToricGerm(cone, coeffs, lattice)
     for ray, c in zip(cone.rays, germ.coords):
@@ -225,8 +225,8 @@ def _box_points(rb: Rebased):
     for cell in _cells(cone):
         v = [cone.rays[i] for i in cell]
         ells = [dot(l_num, r) for r in v]
-        diag = [(j, row[j]) for j, row in enumerate(linalg.hnf(v)) if row[j] > 1]
-        d, w = _cell_dual(cone, v, diag)  # w[i]: the inward normal of the facet opposite v[i]
+        d, w, h = _cell_dual(cone, v)  # w[i]: the inward normal of the facet opposite v[i]
+        diag = [(j, hj) for j, hj in enumerate(h) if hj > 1]
         cols, values = [], [0] * d
         for wi, ell in zip(w, ells):
             col = [0]
@@ -240,14 +240,19 @@ def _box_points(rb: Rebased):
         yield v, ells, d, cols, [a // d for a in values]
 
 
-def _cell_dual(cone: Cone, v, diag):
-    """d = |det v| and w[i] = d times the dual vector of v[i], for a cell v
-    of Hermite diagonal ``diag``; the one cell of a simplicial cone reads
-    w[i] off facets[i], the facet opposite v[i]."""
+def _cell_dual(cone: Cone, v):
+    """(d, w, h) for a cell v: d = |det v|, w[i] = d times the dual vector
+    of v[i], and h the diagonal of hnf(v).  A cell of at most 4 rays reads
+    all three off one set of cofactors; a larger one takes hnf(v), and the
+    one cell of a simplicial cone then reads w[i] off facets[i], the facet
+    opposite v[i]."""
+    if small := linalg.cofactor_dual(v):
+        return small
+    h = [row[j] for j, row in enumerate(linalg.hnf(v))]
     if cones.has_opposite_facets(cone):
-        d = math.prod(h for _, h in diag)
-        return d, [[d // dot(f, r) * x for x in f] for f, r in zip(cone.facets, v)]
-    return linalg.dual_basis(v)
+        d = math.prod(h)
+        return d, [[d // dot(f, r) * x for x in f] for f, r in zip(cone.facets, v)], h
+    return (*linalg.dual_basis(v), h)
 
 
 def _lift(cols, steps, top: int):
@@ -451,10 +456,15 @@ def pi1_reg(germ: ToricGerm) -> FiniteAbelianGroup:
 
 def pi1_order(germ: ToricGerm) -> int:
     """Order of the regional fundamental group, [O : <rays>] for the orbifold lattice O: the
-    product of the rays' Hermite diagonal over covol(O) = prod(diag O.num) / O.den^n, with no
-    coordinates and no Smith form.  Rays that do not span raise NotFullDimensional."""
-    n, o = germ.dim, germ.orbifold
-    diag = [row[i] for i, row in enumerate(linalg.hnf(germ.cone.rays)[:n])]
-    if len(diag) < n or 0 in diag:
+    product of the rays' Hermite diagonal, |det rays| for n rays, over covol(O) =
+    prod(diag O.num) / O.den^n, with no coordinates and no Smith form.  Rays that do not span
+    raise NotFullDimensional."""
+    n, o, rays = germ.dim, germ.orbifold, germ.cone.rays
+    if len(rays) == n:
+        index = abs(linalg.det(rays).numerator)
+    else:
+        diag = [row[i] for i, row in enumerate(linalg.hnf(rays)[:n])]
+        index = math.prod(diag) if len(diag) == n else 0
+    if not index:
         raise NotFullDimensional("the cone does not span the ambient space")
-    return math.prod(diag) * o.den**n // math.prod(o.num[i][i] for i in range(n))
+    return index * o.den**n // math.prod(o.num[i][i] for i in range(n))

@@ -2,17 +2,19 @@
 
 Vectors are tuples and matrices are tuples of row tuples.  ``det``,
 ``dual_basis``, a nonsingular ``rank`` and a nonsingular square
-``solve_scaled`` of a square ``int`` matrix of size at most 3 read their
-answers off its cofactors.  Everything else (size 4 and up, singular
-ranks and solves, rectangular systems, ``Fraction`` or ``bool`` entries,
-independent row sets) reads its answers off one fraction-free (Bareiss)
-elimination over ``int`` rows; a row of ``fractions.Fraction`` is first
-scaled by the lcm of its denominators.
+``solve_scaled`` of a square ``int`` matrix of size at most 4 read their
+answers off its cofactors, and so do the Smith invariants (``snf``) and
+the Hermite diagonal (``cofactor_dual``) of a nonsingular one, as
+quotients of determinantal divisors.  Everything else (size 5 and up,
+singular ranks and solves, rectangular systems, ``Fraction`` or ``bool``
+entries, independent row sets) reads its answers off one fraction-free
+(Bareiss) elimination over ``int`` rows; a row of ``fractions.Fraction``
+is first scaled by the lcm of its denominators.
 The row Hermite normal form, in ``int`` arithmetic and without a
-unimodular transform, is the one lattice kernel: Smith invariants and
-lattice bases are read off it, and coordinates in an echelon basis
-(the Hermite form of a lattice) come by substitution.  Fractions appear
-only in rational answers and inputs.
+unimodular transform, is the one lattice kernel: the other Smith
+invariants and lattice bases are read off it, and coordinates in an
+echelon basis (the Hermite form of a lattice) come by substitution.
+Fractions appear only in rational answers and inputs.
 Nothing here ever touches floating point.
 """
 
@@ -22,6 +24,7 @@ import math
 import operator
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError, ZeroVector
@@ -60,7 +63,8 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 
 def identity(n: int) -> tuple[IntVec, ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    zeros = (0,) * n
+    return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n))
 
 
 def transpose(a) -> tuple:
@@ -82,12 +86,14 @@ def _integer_row(row) -> tuple[int, list[int]]:
 
 
 def _cofactors(a) -> tuple[int, tuple[IntVec, ...]] | None:
-    """(det a, w) for a square matrix of ints of size at most 3, with w_i the
+    """(det a, w) for a square matrix of ints of size at most 4, with w_i the
     i-th row of its cofactor matrix, so that w_i . a_j = det a [i = j]: for
-    rows a, b, c the cross products b x c, c x a and a x b.  None for any
-    other matrix, which takes the elimination."""
+    rows a, b, c the cross products b x c, c x a and a x b; for rows a, b,
+    c, d, Laplace expansions over the 2 x 2 minors s_jk of rows a, b and
+    t_jk of rows c, d.  None for any other matrix, which takes the
+    elimination."""
     n = len(a)
-    if n > 3:
+    if n > 4:
         return None
     for row in a:  # plain loops: this runs before every small solve, and all() is slower
         if len(row) != n:
@@ -95,6 +101,21 @@ def _cofactors(a) -> tuple[int, tuple[IntVec, ...]] | None:
         for x in row:
             if type(x) is not int:
                 return None
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a
+        s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+        t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+        w = ((b1 * t23 - b2 * t13 + b3 * t12, b2 * t03 - b0 * t23 - b3 * t02,
+              b0 * t13 - b1 * t03 + b3 * t01, b1 * t02 - b0 * t12 - b2 * t01),
+             (a2 * t13 - a1 * t23 - a3 * t12, a0 * t23 - a2 * t03 + a3 * t02,
+              a1 * t03 - a0 * t13 - a3 * t01, a0 * t12 - a1 * t02 + a2 * t01),
+             (d1 * s23 - d2 * s13 + d3 * s12, d2 * s03 - d0 * s23 - d3 * s02,
+              d0 * s13 - d1 * s03 + d3 * s01, d1 * s02 - d0 * s12 - d2 * s01),
+             (c2 * s13 - c1 * s23 - c3 * s12, c0 * s23 - c2 * s03 + c3 * s02,
+              c1 * s03 - c0 * s13 - c3 * s01, c0 * s12 - c1 * s02 + c2 * s01))
+        return s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01, w
     if n == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
         w = ((b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
@@ -109,6 +130,31 @@ def _cofactors(a) -> tuple[int, tuple[IntVec, ...]] | None:
     return 1, ()
 
 
+def _divisors(a, cof, hermite: bool) -> IntVec:
+    """D_k / D_(k-1), k = 1..n, for a nonsingular square matrix a of ints of
+    size at most 4 with cofactors cof = (det a, w), where D_0 = 1 and D_n =
+    |det a|.  For Smith's invariant factors D_k is the gcd of a's k x k
+    minors (Newman, Integral Matrices, 1972, II.9).  For the diagonal of
+    hnf(a) it is the gcd of the k x k minors of a's first k columns, which
+    is H_11 ... H_kk since a left unimodular factor keeps it
+    (Cauchy-Binet).  So D_1 is the gcd of all entries or of column 0,
+    D_(n-1) of all cofactors or of those in column n - 1, and for n = 4,
+    D_2 of the 36 2 x 2 minors or of the 6 in columns 0 and 1.  D_k
+    divides D_(k+1), so D_(n-1) = 1 makes every D_k below it 1."""
+    n, (det_a, w) = len(a), cof
+    if not n:
+        return ()
+    ds = [math.gcd(*[wi[-1] for wi in w] if hermite else [x for wi in w for x in wi]), abs(det_a)]
+    if n > 2 and ds[0] > 1:
+        lower = [math.gcd(*[row[0] for row in a] if hermite else [x for row in a for x in row])]
+        if n == 4:
+            cols = [(0, 1)] if hermite else list(combinations(range(4), 2))
+            lower.append(math.gcd(*[r[j] * s[k] - r[k] * s[j] for r, s in combinations(a, 2) for j, k in cols]))
+        ds[:0] = lower
+    ds[:0] = [1] * (n + 1 - len(ds))
+    return tuple(y // x for x, y in zip(ds, ds[1:]))
+
+
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
@@ -119,7 +165,7 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     k-th pivot is the minor on the first k + 1 pivot rows and columns:
     the last pivot of a square nonsingular matrix is its determinant, up
     to the sign.  Outside ``oracle``, this is the package's one Gaussian
-    elimination; square ``int`` matrices of size at most 3 skip it for
+    elimination; square ``int`` matrices of size at most 4 skip it for
     their cofactors, unless a singular one needs its rank or its solve.
     A row whose pivot-column entry is 0 is left as it is when p == prev,
     where the update is the identity.
@@ -205,7 +251,7 @@ def solve_scaled(a, b):
     y = d * x, ints with the signs of x (d > 0), for the unique solution x;
     else y is the INCONSISTENT sentinel, which wins even when a is rank
     deficient, or UNDERDETERMINED.  A nonsingular square system of ints of
-    size at most 3 reads d = |det a| and y = sign(det a) * sum of b_j w_j
+    size at most 4 reads d = |det a| and y = sign(det a) * sum of b_j w_j
     off a's cofactor rows w_j; any other system comes from one elimination
     of [a | b], whose d for such a system is the same.  Ragged rows, or a b
     of the wrong length, raise ValidationError."""
@@ -249,21 +295,28 @@ def _back_substitute(rows: list[list[int]], n: int, col: int) -> list[int]:
 def dual_basis(a) -> tuple[int, tuple[IntVec, ...]] | None:
     """(D, w) for a square integer matrix a: D = |det a| and int rows w_i
     with w_i . a_j = D [i = j], the columns of D a^-1; None if a is
-    singular.  Up to size 3 they are a's cofactor rows times the sign of
-    its determinant; from size 4, one elimination of [a | I] and one back
+    singular.  Up to size 4 they are a's cofactor rows times the sign of
+    its determinant; from size 5, one elimination of [a | I] and one back
     substitution per column of I."""
     if cof := _cofactors(a):
-        d, w = cof
-        if not d:
-            return None
-    else:
-        n = len(a)
-        rows = [[*row, *e] for row, e in zip(a, identity(n))]
-        if len(_eliminate(rows, n)[0]) < n:
-            return None
-        d = rows[n - 1][n - 1] if n else 1
-        w = [_back_substitute(rows, n, n + i) for i in range(n)]
-    return abs(d), tuple(tuple(x if d > 0 else -x for x in wi) for wi in w)
+        return _signed_dual(*cof) if cof[0] else None
+    n = len(a)
+    rows = [[*row, *e] for row, e in zip(a, identity(n))]
+    if len(_eliminate(rows, n)[0]) < n:
+        return None
+    return _signed_dual(rows[n - 1][n - 1], [_back_substitute(rows, n, n + i) for i in range(n)])
+
+
+def _signed_dual(d: int, w) -> tuple[int, tuple[IntVec, ...]]:
+    return abs(d), tuple(map(tuple, w)) if d > 0 else tuple(tuple(-x for x in wi) for wi in w)
+
+
+def cofactor_dual(a) -> tuple[int, tuple[IntVec, ...], IntVec] | None:
+    """(D, w, h) for a nonsingular square matrix of ints of size at most 4:
+    (D, w) = dual_basis(a) and h the diagonal of hnf(a), all read off one
+    set of cofactors; None for any other matrix."""
+    cof = _cofactors(a)
+    return (*_signed_dual(*cof), _divisors(a, cof, hermite=True)) if cof and cof[0] else None
 
 
 def echelon_coords(rows, v) -> IntVec | None:
@@ -366,7 +419,15 @@ def _nonzero_hnf(a) -> list[IntVec]:
 
 def snf(a) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of an integer matrix, the nonzero
-    diagonal of its Smith form; their count is the rank.
+    diagonal of its Smith form; their count is the rank.  A nonsingular
+    square matrix of ints of size at most 4 reads them off its
+    determinantal divisors; any other matrix takes ``_hermite_smith``."""
+    cof = _cofactors(a)
+    return _divisors(a, cof, hermite=False) if cof and cof[0] else _hermite_smith(a)
+
+
+def _hermite_smith(a) -> tuple[int, ...]:
+    """``snf`` by Hermite passes.
 
     Row and column Hermite forms alternate until the matrix is diagonal
     (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The loop ends: from
@@ -418,7 +479,7 @@ class LatticeBasis(_LatticeFields):  # no __slots__: the cached properties need 
 
     @cached_property
     def is_standard(self) -> bool:
-        return self.den == 1 and all(x == (i == j) for i, row in enumerate(self.num) for j, x in enumerate(row))
+        return self.den == 1 and self.num == identity(self.dim)
 
     def to_ambient(self, c: Sequence[int]) -> tuple:
         """The point with integer coordinates c in this basis, in Q^dim,
@@ -441,7 +502,7 @@ def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
         if len(g) != dim:
             raise ValidationError(f"a generator of length {len(g)} in dimension {dim}")
     d = math.lcm(*[f.denominator for g in fracs for f in g])
-    rows = [tuple(int(f * d) for f in g) for g in fracs]
+    rows = [tuple(f.numerator * (d // f.denominator) for f in g) for g in fracs]
     rows += [tuple(d * x for x in e) for e in identity(dim)]
     basis = _nonzero_hnf(rows)  # dim rows: the standard basis is among the generators
     g = math.gcd(d, *(x for row in basis for x in row))

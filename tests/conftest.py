@@ -196,3 +196,40 @@ def transform_germ(germ: t.ToricGerm, mat) -> t.ToricGerm:
         gens = [apply(row) for row in germ.lattice.rows]
         lattice = t.lattice_from_generators(germ.dim, gens)
     return t.make_germ(cone, boundary, lattice)
+
+
+SQUARE_KINDS = ("any", "large", "singular", "unimodular", "triangular", "bool", "Fraction")
+
+
+@st.composite
+def small_squares(draw):
+    """(kind, a) for a square matrix a of size 0-4, the sizes that have
+    cofactors.  "any" has entries in [-6, 6] and "large" entries within 6
+    of +-10^12; "singular" has its last row a combination of the others;
+    "unimodular" and "triangular" are an upper triangle T with diagonal
+    +-1, or in 1, 2, 3, 4, 6, mixed by adding multiples of rows to others,
+    so hnf(a) has T's diagonal up to sign; "bool" and "Fraction" have one
+    entry of that type (an integral Fraction), which takes the slow paths.
+    The rows are then permuted, which flips the sign of det about half the
+    time.  Size 0 is the empty matrix."""
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(SQUARE_KINDS)) if n else "any"
+    small = st.integers(-6, 6)
+    if kind == "large":
+        a = [[draw(st.sampled_from((-1, 1))) * 10**12 + draw(small) for _ in range(n)] for _ in range(n)]
+    elif kind in ("unimodular", "triangular"):
+        diag = st.sampled_from((1, -1) if kind == "unimodular" else (1, 2, 3, 4, 6))
+        a = [[draw(diag) if i == j else draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+        for _ in range(2 * n):
+            i, j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(small)
+            if i != j:
+                a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    else:
+        a = [[draw(small) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        ks = [draw(small) for _ in range(n - 1)]
+        a[-1] = [sum(k * row[j] for k, row in zip(ks, a)) for j in range(n)]
+    elif kind in ("bool", "Fraction"):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i][j] = bool(a[i][j] % 2) if kind == "bool" else Fraction(a[i][j])
+    return kind, [tuple(a[i]) for i in draw(st.permutations(range(n)))]

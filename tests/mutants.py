@@ -41,6 +41,8 @@ CLOSED_FORMS = "tests/test_counting_2d.py::test_closed_forms_of_ex1_and_ex2"
 SUBTREE = "tests/test_structure.py::test_subtree_test_agrees_with_its_definition"
 RANK_LOOP = "tests/test_structure.py::test_decompose_matches_the_rank_loop_reference"
 INT_SQUARE = "tests/test_elim.py::test_integer_square_systems_match_the_reference"
+COFACTORS = "tests/test_elim.py::test_cofactors_match_the_minors_and_the_elimination"
+DIVISORS = "tests/test_nf.py::test_determinantal_divisors_match_hermite_and_smith"
 GRAMMAR = "tests/test_cli_grammar.py::test_the_grammar_accepts_what_argparse_accepts_with_the_same_namespace"
 TIMEOUT_S = 300  # per test run; a mutant that hangs a test counts as surviving it
 
@@ -84,16 +86,18 @@ MUTANTS = (
     Mutant("cones.py", "return c.dim == c.n == len(c.rays)", "return c.n == len(c.rays)",
            ("tests/test_simplicial.py::test_a_rank_three_cone_with_four_rays_in_q4_is_not_full_dimensional",),
            "has_opposite_facets without the dimension check"),
-    Mutant("linalg.py", "return self.den == 1 and all(", "return all(",
+    Mutant("linalg.py", "return self.den == 1 and self.num ==", "return self.num ==",
            ("tests/test_elim.py::test_express_in_basis_matches_the_reference",),
            "is_standard without the denominator check"),
     Mutant("invariants.py", "closed = next(x for x in (dot(wi, y), *wi) if x) < 0",
            "closed = next(x for x in (dot(wi, y), *wi) if x) > 0",
            ("tests/test_box_points.py::test_box_points_match_the_fm_reference_and_the_oracle",),
            "half-open cells close the wrong facets"),
-    # the cofactor kernel of square int matrices of size <= 3, and the elimination
+    # the cofactor kernel of square int matrices of size <= 4, and the elimination
     Mutant("linalg.py", "c2 * a0 - c0 * a2", "c0 * a2 - c2 * a0",
            (INT_SQUARE,), "one 3x3 cofactor with the wrong sign"),
+    Mutant("linalg.py", "b2 * t03 - b0 * t23 - b3 * t02", "b0 * t23 - b2 * t03 + b3 * t02",
+           (INT_SQUARE, COFACTORS), "one 4x4 cofactor with the wrong sign"),
     Mutant("linalg.py", "return n, abs(d), tuple(", "return n, d, tuple(",
            (INT_SQUARE,), "solve_scaled's d without its sign normalised"),
     Mutant("linalg.py", "        if len(row) != n:\n            return None\n", "",
@@ -105,6 +109,11 @@ MUTANTS = (
     Mutant("linalg.py", "if f == 0 and p == prev:", "if f == 0:",
            (INT_SQUARE,), "zero-row skip without p == prev"),
     # the group order and invariant factors
+    Mutant("linalg.py", "cols = [(0, 1)] if hermite else list(combinations(range(4), 2))",
+           "cols = list(combinations(range(4), 2))",
+           (DIVISORS,), "Hermite D_2 over all columns, not the leading two"),
+    Mutant("linalg.py", "[x for wi in w for x in wi]", "list(w[0])",
+           (DIVISORS,), "Smith D_(n-1) from one cofactor row only"),
     Mutant("linalg.py", "            g = math.gcd(d[i], d[j])\n            d[i], d[j] = g, d[i] * d[j] // g\n",
            "            pass\n",
            (PI1 + "test_pi1_matches_the_group_listing",),

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import elim_reference as ref
 import nf_reference as nf_ref
-from toricmld import cones
+from conftest import SQUARE_KINDS, small_squares
+from toricmld import cones, linalg
 from toricmld.errors import ValidationError
 from toricmld.linalg import (
     INCONSISTENT,
@@ -139,7 +140,7 @@ def _int_square(draw, n, kind):
 
 
 def test_integer_square_systems_match_the_reference():
-    """Square matrices of ints of sizes 1-3 take the cofactors and size 4
+    """Square matrices of ints of sizes 1-4 take the cofactors and size 5
     the elimination; on both sides of that switch, dual_basis, det, rank
     and the exact (r, d, y) of solve_scaled equal the Fraction reference,
     for singular, unimodular and zero-row matrices and right-hand sides
@@ -147,7 +148,7 @@ def test_integer_square_systems_match_the_reference():
     seen = Counter()
 
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from([(n, kind) for n in range(1, 5) for kind in ("any", "singular", "zero row", "unimodular")]),
+    @given(st.sampled_from([(n, kind) for n in range(1, 6) for kind in ("any", "singular", "zero row", "unimodular")]),
            st.booleans(), st.data())
     def check(shape, image, data):
         n, kind = shape
@@ -169,10 +170,53 @@ def test_integer_square_systems_match_the_reference():
         seen[n, kind, sign] += 1
 
     check()
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert all(seen[n, outcome] for outcome in ("unique", INCONSISTENT, UNDERDETERMINED)), (n, seen)
         assert all(seen[n, kind, 0] for kind in ("singular", "zero row")), (n, seen)
         assert all(seen[n, "unimodular", sign] for sign in (1, -1) if n > 1), (n, seen)
+
+
+def test_cofactors_match_the_minors_and_the_elimination():
+    """Each cofactor of a square matrix of ints of size 0-4 is its signed
+    minor (the reference det), and a nonsingular matrix's det and cofactor
+    rows are the sign of the row permutation times the last pivot and the
+    back substitutions of one elimination of [a | I], which is how
+    dual_basis reads them from size 5; a bool or Fraction entry gets no
+    cofactors.  The sizes, the empty matrix, both signs of det, singular,
+    unimodular and large entries all occur."""
+    seen = Counter()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(small_squares())
+    def check(drawn):
+        kind, a = drawn
+        n = len(a)
+        cof = linalg._cofactors(a)
+        if kind in ("bool", "Fraction"):
+            assert cof is None and linalg.cofactor_dual(a) is None
+            assert det(a) == ref.det(a) and dual_basis(a) == dual_basis([tuple(map(int, row)) for row in a])
+            seen[kind] += 1
+            return
+        d, w = cof
+        assert type(d) is int and d == ref.det(a)
+        for i in range(n):
+            for j in range(n):
+                minor = [row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i]
+                assert w[i][j] == (-1) ** (i + j) * ref.det(minor), (a, i, j)
+        rows = [[*row, *e] for row, e in zip(a, identity(n))]
+        pivots, sign = linalg._eliminate(rows, n)
+        if len(pivots) == n:
+            assert d == sign * (rows[n - 1][n - 1] if n else 1)
+            assert w == tuple(tuple(sign * x for x in linalg._back_substitute(rows, n, n + i)) for i in range(n))
+        else:
+            assert d == 0
+        seen[n, (d > 0) - (d < 0)] += 1
+        seen[kind] += 1
+
+    check()
+    assert seen[0, 1], seen
+    assert all(seen[n, sign] for n in range(1, 5) for sign in (1, -1, 0)), seen
+    assert all(seen[kind] for kind in SQUARE_KINDS), seen
 
 
 def test_fraction_and_bool_systems_take_the_elimination():

@@ -2,10 +2,14 @@
 invariants read off it, checked against the normal forms with unimodular
 transforms that they replaced (``nf_reference``)."""
 
+import math
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nf_reference as ref
+from conftest import SQUARE_KINDS, small_squares
 from toricmld import linalg
 from toricmld.linalg import rank
 
@@ -53,8 +57,9 @@ def test_hermite_smith_and_saturation_match_the_reference(monkeypatch):
         h, _ = ref.hnf(a)
         assert hnf(a) == h
         calls[0] = 0
-        assert linalg.snf(a) == ref.snf(a).invariant_factors
+        assert linalg._hermite_smith(a) == ref.snf(a).invariant_factors
         passes.append(calls[0])
+        assert linalg.snf(a) == ref.snf(a).invariant_factors
         r = rank(a) if m and n else 0
         kinds.add("full rank" if r == min(m, n) else "rank deficient")
         if m != n:
@@ -67,7 +72,9 @@ def test_hermite_smith_and_saturation_match_the_reference(monkeypatch):
 
 def test_snf_three_pass_example(monkeypatch):
     # the row pass leaves 3 beside the corner 2; the column pass makes the
-    # corner 1 but leaves 6 beside it; the third pass clears that row
+    # corner 1 but leaves 6 beside it; the third pass clears that row.
+    # snf reads this nonsingular 2 x 2 off its determinantal divisors, so
+    # the Hermite-pass path is called directly
     hnf = linalg.hnf
     seen = []
 
@@ -77,5 +84,42 @@ def test_snf_three_pass_example(monkeypatch):
 
     monkeypatch.setattr(linalg, "hnf", recording_hnf)
     a = [[2, 3], [0, 6]]
-    assert linalg.snf(a) == ref.snf(a).invariant_factors == (1, 12)
+    assert linalg._hermite_smith(a) == linalg.snf(a) == ref.snf(a).invariant_factors == (1, 12)
     assert len(seen) == 3
+
+
+def test_determinantal_divisors_match_hermite_and_smith():
+    """On square matrices of size 0-4, snf equals the Hermite-pass path
+    and the reference Smith form, and cofactor_dual of a nonsingular
+    matrix of ints is dual_basis and the diagonal of hnf; a singular
+    matrix, or one with a bool or Fraction entry, gets None from
+    cofactor_dual and the Hermite passes from snf.  Every kind occurs, and
+    in sizes 3 and 4 the divisors below D_(n-1) are read (D_(n-1) > 1) for
+    both forms."""
+    seen = Counter()
+
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(small_squares())
+    def check(drawn):
+        kind, a = drawn
+        n = len(a)
+        smith = ref.snf(a).invariant_factors
+        assert linalg.snf(a) == linalg._hermite_smith(a) == smith, a
+        small = linalg.cofactor_dual(a)
+        if kind in ("bool", "Fraction") or len(smith) < n:
+            assert small is None
+            seen[kind] += 1
+            return
+        d, w, h = small
+        assert (d, w) == linalg.dual_basis(a)
+        hermite = linalg.hnf(a)
+        assert h == tuple(hermite[i][i] for i in range(n)), a
+        seen[kind] += 1
+        seen[n] += 1
+        if n > 2:
+            seen["Hermite", n] += math.prod(h[:-1]) > 1
+            seen["Smith", n] += math.prod(smith[:-1]) > 1
+
+    check()
+    assert seen[0] and all(seen[kind] for kind in SQUARE_KINDS), seen
+    assert all(seen[form, n] for form in ("Hermite", "Smith") for n in (3, 4)), seen

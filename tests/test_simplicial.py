@@ -78,9 +78,9 @@ def test_simplicial_fast_paths_match_the_eliminations():
         assert cone.dim == cone.n == len(cone.rays)
         assert invariants._cells(cone) == [tuple(range(n))]
         v = list(cone.rays)
-        diag = [(j, row[j]) for j, row in enumerate(linalg.hnf(v)) if row[j] > 1]
-        d, w = invariants._cell_dual(cone, v, diag)
+        d, w, h = invariants._cell_dual(cone, v)
         assert (d, tuple(map(tuple, w))) == linalg.dual_basis(v)
+        assert tuple(h) == tuple(row[j] for j, row in enumerate(linalg.hnf(v)))
         # an interior point with fractional coordinates over the rays
         coeffs = [data.draw(st.integers(1, 4)) for _ in v]
         shift = [data.draw(st.integers(-1, 1)) for _ in range(n)]
@@ -247,15 +247,15 @@ def _half_extra(n):
 @pytest.mark.parametrize("doc", SIMPLICIAL_DOCS, ids=[f"dim{doc['dim']}-{i}" for i, doc in enumerate(SIMPLICIAL_DOCS)])
 def test_one_elimination_per_command_on_simplicial_germs(doc, eliminations):
     """make_cone's dual basis of the rays is the only linear solve: L, the
-    box points and π₁ read the rest off the facets and Hermite forms, and
-    with lattice_extra the rebased cone is mapped from the parsed one.  In
-    dims 2 and 3 that dual basis is the cofactors, so no command runs an
-    elimination; in dim 4 it is one elimination of [rays | I]."""
+    box points and π₁ read the rest off the facets, cofactors and
+    determinantal divisors, and with lattice_extra the rebased cone is
+    mapped from the parsed one.  In dims 2 to 4 that dual basis is the
+    cofactors, so no command runs an elimination."""
     for argv in COMMANDS:
         for d in (doc, dict(doc, lattice_extra=_half_extra(doc["dim"]))):
             eliminations.clear()
             assert _run(argv, d)[0] == 0
-            assert len(eliminations) == (0 if doc["dim"] <= 3 else 1), (argv, d)
+            assert len(eliminations) == 0, (argv, d)
 
 
 def _calls(run, *funcs):
@@ -292,11 +292,11 @@ def test_a_lattice_extended_command_builds_its_cone_once(doc):
 def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, eliminations):
     """Each full-rank subtree test of the trichotomy's search reads rank U
     and m's coordinates over U off one solve of U^T x = m: a square U of
-    size at most 3 (every 3-subset of the pyramid's rays is independent)
-    solves by cofactors, without an elimination, and a U of 4 rays by one
-    elimination of [U^T | m]; a U with fewer than dim rays is refused
-    without a solve.  Each cone has n + 1 rays, so no tested U has more
-    than n rays and none builds a cone."""
+    size at most 4 solves by cofactors, without an elimination, unless it
+    is singular (in Q^4, rays 0 + 4 = rays 2 + 3 in the cone's order),
+    when it takes one elimination of [U^T | m] for its rank; a U with
+    fewer than dim rays is refused without a solve.  Each cone has n + 1
+    rays, so no tested U has more than n rays and none builds a cone."""
     counts = []
     real = structure._subtree_hits
 
@@ -304,7 +304,8 @@ def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, 
         before = len(eliminations)
         hit = real(c, m, full, p, u)
         if full:
-            counts.append((len(u) >= c.dim, len(eliminations) - before))
+            n = len(eliminations) - before
+            counts.append((len(u) >= c.dim, len(u) == c.dim and not linalg.det([c.rays[i] for i in u]), n))
         return hit
 
     monkeypatch.setattr(structure, "_subtree_hits", counted)
@@ -318,9 +319,9 @@ def test_one_elimination_per_tested_subset_of_the_full_rank_search(monkeypatch, 
         for m in points:
             counts.clear()
             t.trichotomy(c, m)
-            expected = 1 if c.n > 3 else 0
-            assert counts and all(n == (expected if long else 0) for long, n in counts), (rays, m, counts)
-            assert any(long for long, _ in counts)
+            assert counts and all(n == singular for _, singular, n in counts), (rays, m, counts)
+            assert any(long for long, _, _ in counts)
+            assert c.n == 3 or {singular for long, singular, _ in counts if long} == {False, True}
 
 
 def _counted_ranks(monkeypatch):
