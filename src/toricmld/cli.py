@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 
 from . import lab, oracle, structure
 from .errors import ParseError, ToricError, ValidationError
-from .germio import coord_out, format_q, germ_doc, load_json, parse_germ, parse_rational
-from .invariants import count_window, mld, pi1_reg
+from .germio import coord_out, format_q, format_ratio, germ_doc, load_json, parse_germ, parse_rational
+from .invariants import mld, pi1_reg, window_keys
 
 
 def _read_text(path: str) -> str:
@@ -41,14 +41,25 @@ def _parse_window(args) -> tuple[Fraction, Fraction]:
 
 
 def _parse_point(text: str, dim: int):
+    """The point of comma-separated rationals, ints where integral."""
     point = tuple(parse_rational(part.strip()) for part in text.split(","))
     if len(point) != dim:
         raise ValidationError(f"--point has {len(point)} coordinates; the germ has dimension {dim}")
-    return point
+    return tuple(x.numerator if x.denominator == 1 else x for x in point)
 
 
 def _point_out(p):
     return [coord_out(x) for x in p]
+
+
+def _keys_out(keys, den: int) -> list:
+    """The coordinate lists of the points of window keys (den times the
+    ambient coordinates, then the L numerator), for den = den_N: ints where
+    integral, else 'p/q', each distinct text made once per command."""
+    if den == 1:
+        return [list(key[:-1]) for key in keys]
+    text = {a: a // den if a % den == 0 else format_ratio(a, den) for a in {a for key in keys for a in key[:-1]}}
+    return [[text[a] for a in key[:-1]] for key in keys]
 
 
 def _pretty(doc, indent=0, key_width=None) -> list[str]:
@@ -132,12 +143,14 @@ def _cmd_pi1(args) -> dict:
 
 def _cmd_window(args) -> dict:
     germ = _load_germ(args.germ)
-    wc = count_window(germ, *_parse_window(args))
+    low, high = _parse_window(args)
+    keys, den = window_keys(germ, low, high), germ.rebased.den
+    text = {x: format_ratio(x, den) for x in {key[-1] for key in keys}}
     return {
-        "low": format_q(wc.low),
-        "high": format_q(wc.high),
-        "count": wc.count,
-        "points": [[_point_out(p), format_q(v)] for p, v in wc.points],
+        "low": format_q(low),
+        "high": format_q(high),
+        "count": len(keys),
+        "points": [[p, text[key[-1]]] for p, key in zip(_keys_out(keys, germ.lattice.den), keys)],
     }
 
 
@@ -167,9 +180,9 @@ def _cmd_check(args) -> dict:
 def _cmd_trichotomy(args) -> dict:
     germ = _load_germ(args.germ)
     m = _parse_point(args.point, germ.dim)
-    if any(x.denominator != 1 for x in m):
+    if any(type(x) is not int for x in m):
         raise ParseError("trichotomy points must have integer coordinates")
-    res = structure.trichotomy(germ.cone, tuple(int(x) for x in m))
+    res = structure.trichotomy(germ.cone, m)
     if isinstance(res, structure.Simplicial):
         return {"variant": "Simplicial"}
     if isinstance(res, structure.FullDimSubcone):

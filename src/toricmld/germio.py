@@ -7,6 +7,7 @@ a document is ever a binary float.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -19,6 +20,12 @@ from .linalg import lattice_from_generators, primitive
 
 def format_q(x) -> str:
     return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_q(Fraction(num, den)) for ints num and den > 0, from the integers."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def coord_out(x):
@@ -40,15 +47,19 @@ def parse_q(value, where: str) -> Fraction:
 
 
 # one grammar on every interpreter, though Fraction's differs: ASCII digits,
-# no "_" and no exponent, as Fraction("1e-3000000") would have millions of digits
-_RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
+# no "_" and no exponent, as Fraction("1e-3000000") would have millions of digits;
+# "p" or "p/q" captures p and q, and a decimal captures nothing
+_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*|\s*[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)\s*")
 
 
 def parse_rational(text: str, where: str = "") -> Fraction:
     """The rational a string "p/q", integer or decimal names; any other string raises ParseError."""
-    if _RATIONAL.fullmatch(text):
-        try:
-            return Fraction(text)
+    if match := _RATIONAL.fullmatch(text):
+        p, q = match.groups()
+        try:  # int() refuses more digits than the interpreter's limit
+            if p is None:
+                return Fraction(text)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except (ValueError, ZeroDivisionError):
             pass
     raise ParseError(f"{where}{text!r} is not a rational 'p/q'")
@@ -63,10 +74,11 @@ def parse_int(value, where: str) -> int:
 def germ_doc(germ: ToricGerm) -> dict:
     """Serialisable document; fields with default values are omitted."""
     doc = {"dim": germ.dim, "rays": [list(r) for r in germ.cone.rays]}
-    if any(b != 0 for b in germ.boundary):
-        doc["boundary"] = [format_q(b) for b in germ.boundary]
-    if not germ.lattice.is_standard:
-        doc["lattice_extra"] = [[format_q(x) for x in row] for row in germ.lattice.rows]
+    if any(p for p, _ in germ.boundary_ratios):
+        doc["boundary"] = [format_ratio(p, q) for p, q in germ.boundary_ratios]
+    lat = germ.lattice
+    if not lat.is_standard:
+        doc["lattice_extra"] = [[format_ratio(x, lat.den) for x in row] for row in lat.num]
     return doc
 
 

@@ -39,6 +39,7 @@ from .linalg import (
     INCONSISTENT,
     UNDERDETERMINED,
     LatticeBasis,
+    as_rational,
     dot,
     express_in_basis,
     primitive,
@@ -73,6 +74,11 @@ class ToricGerm:
         return self.cone.n
 
     @cached_property
+    def boundary_ratios(self) -> tuple[tuple[int, int], ...]:
+        """The boundary coefficients as (numerator, denominator) pairs in lowest terms."""
+        return tuple(b.as_integer_ratio() for b in self.boundary)
+
+    @cached_property
     def rebased(self) -> Rebased:
         """The germ in coordinates of N, with L(ray) = 1 - coeff there: the
         sum of (1 - b_i) f_i / (f_i . r_i) for a simplicial cone, f_i the
@@ -86,15 +92,18 @@ class ToricGerm:
             cone = Cone(cone.n, rays, tuple(facets if cones.has_opposite_facets(cone) else sorted(facets)), cone.dim)
         if cones.has_opposite_facets(cone):
             # (1 - b_i) / (f_i . r_i) = p_i / q_i, over the common denominator den
-            pq = [(b.denominator - b.numerator, b.denominator * dot(f, r)) for b, f, r in zip(self.boundary, cone.facets, rays)]
+            pq = [(q - p, q * dot(f, r)) for (p, q), f, r in zip(self.boundary_ratios, cone.facets, rays)]
             den = math.lcm(*[q for _, q in pq])
             l_num = [sum(p * (den // q) * f[j] for (p, q), f in zip(pq, cone.facets)) for j in range(self.dim)]
         else:
-            _, den, l_num = linalg.solve_scaled(rays, [1 - b for b in self.boundary])
+            # big * (1 - b_i), over big the lcm of the coefficients' denominators
+            big = math.lcm(*[q for _, q in self.boundary_ratios])
+            _, den, l_num = linalg.solve_scaled(rays, [(q - p) * (big // q) for p, q in self.boundary_ratios])
             if l_num is INCONSISTENT:
                 raise NotQCartier("no linear functional matches all ray values")
             if l_num is UNDERDETERMINED:
                 raise NotFullDimensional("the cone does not span the ambient space")
+            den *= big
         g = math.gcd(den, *l_num)
         return Rebased(cone, tuple(x // g for x in l_num), den // g)
 
@@ -110,7 +119,7 @@ class ToricGerm:
     def orbifold(self) -> LatticeBasis:
         """Lattice generated by N and the rays/n_ray: N when every n_ray is 1, else the Hermite
         form of M N and the M ray/n_ray with n_ray > 1, over M = lcm(N's denominator, n_ray)."""
-        ms = [multiplicity(b) for b in self.boundary]
+        ms = [q // (q - p) for p, q in self.boundary_ratios]  # multiplicity(b)
         if all(m == 1 for m in ms):
             return self.lattice
         big, den = math.lcm(self.lattice.den, *ms), self.lattice.den
@@ -134,15 +143,15 @@ def make_germ(
         raise ValidationError("lattice dimension does not match the cone")
     if boundary is None:
         boundary = [Fraction(0)] * len(cone.rays)
-    coeffs = tuple(b if type(b) is Fraction else Fraction(b) for b in boundary)
+    coeffs = tuple(as_rational(b, "boundary coefficient") for b in boundary)
     if len(coeffs) != len(cone.rays):
         raise ValidationError(
             f"{len(coeffs)} boundary coefficients for {len(cone.rays)} rays"
         )
-    for b in coeffs:
-        if not (0 <= b.numerator < b.denominator):
-            raise ValidationError(f"boundary coefficient {b} outside [0, 1)")
     germ = ToricGerm(cone, coeffs, lattice)
+    for b, (p, q) in zip(coeffs, germ.boundary_ratios):
+        if not (0 <= p < q):
+            raise ValidationError(f"boundary coefficient {b} outside [0, 1)")
     for ray, c in zip(cone.rays, germ.coords):
         if c is None:
             raise ValidationError(f"ray {ray} is not a lattice point of N")
@@ -153,10 +162,11 @@ def make_germ(
 
 def multiplicity(coeff) -> int:
     """Largest n with 1 - 1/n <= coeff = p/q in [0, 1), that is q // (q - p)."""
-    c = coeff if type(coeff) is Fraction else Fraction(coeff)
-    if not (0 <= c < 1):
+    c = as_rational(coeff, "coefficient")
+    p, q = c.as_integer_ratio()
+    if not (0 <= p < q):
         raise CoefficientOutOfRange(f"coefficient {c} outside [0, 1)")
-    return c.denominator // (c.denominator - c.numerator)
+    return q // (q - p)
 
 
 class Rebased(NamedTuple):
@@ -272,13 +282,13 @@ def _lift(cols, steps, top: int):
     return cols
 
 
-def _window(germ: ToricGerm, cells, lo_num: int, hi_num: int) -> list[tuple[Point, int]]:
-    """The sorted (ambient point, L numerator) pairs of the interior lattice
-    points of numerator in [lo_num, hi_num), from the ``_box_points`` cells.
-    Each cell's box points below hi_num are lifted on integer columns of
-    den_N times the ambient point, den_N being N's denominator, which sort
-    as the points do; a cell with none builds no column, and only the
-    points kept become tuples."""
+def _window(germ: ToricGerm, cells, lo_num: int, hi_num: int) -> list[tuple[int, ...]]:
+    """The sorted keys of the interior lattice points of L numerator in
+    [lo_num, hi_num), from the ``_box_points`` cells: den_N times a point's
+    ambient coordinates, den_N being N's denominator, then its numerator.
+    Keys sort as the points do.  Each cell's box points below hi_num are
+    lifted on integer columns of the key; a cell with none builds no
+    column, and only the points kept become tuples."""
     lat = germ.lattice
     num_cols = None if lat.is_standard else linalg.transpose(lat.num)
     keys = []
@@ -299,9 +309,14 @@ def _window(germ: ToricGerm, cells, lo_num: int, hi_num: int) -> list[tuple[Poin
         keep = [x >= lo_num for x in xs]
         keys += zip(*[compress(acc, keep) for acc in coords], compress(xs, keep))
     keys.sort()
-    den = lat.den
-    return [(tuple(a // den if a % den == 0 else Fraction(a, den) for a in key[:-1]) if den > 1 else key[:-1], key[-1])
-            for key in keys]
+    return keys
+
+
+def _point(key: tuple[int, ...], den: int) -> Point:
+    """The ambient point of a ``_window`` key, for den = den_N: ints where integral."""
+    if den == 1:
+        return key[:-1]
+    return tuple(a // den if a % den == 0 else Fraction(a, den) for a in key[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +356,39 @@ def mld(germ: ToricGerm, bound=None) -> MldResult:
     minimum exceeds the bound.
     """
     rb = germ.rebased
-    b = Fraction(rb.ray_sum_value(), rb.den) if bound is None else Fraction(bound)
-    b_num = math.floor(b * rb.den)
+    b = Fraction(rb.ray_sum_value(), rb.den) if bound is None else as_rational(bound, "bound")
+    p, q = b.as_integer_ratio()
     cells = list(_box_points(rb))
     value = min(min(values) for *_, values in cells)
-    if value > b_num:
+    if value > p * rb.den // q:  # floor(b * den)
         raise BoundBelowMinimum(
             f"no interior lattice point with L <= {b}; the bound is below the minimum"
         )
-    minimizers = tuple(p for p, _ in _window(germ, cells, value, value + 1))
+    den = germ.lattice.den
+    minimizers = tuple(_point(key, den) for key in _window(germ, cells, value, value + 1))
     return MldResult(Fraction(value, rb.den), minimizers, b)
 
 
 def count_window(germ: ToricGerm, low, high) -> WindowCount:
     """All interior lattice points with log discrepancy in [low, high),
-    sorted (``_window``); only the returned points hold Fractions."""
-    lo, hi = Fraction(low), Fraction(high)
-    if not (0 < lo <= hi):
+    sorted (``window_keys``); only the returned points hold Fractions."""
+    lo, hi = as_rational(low, "low"), as_rational(high, "high")
+    keys, den = window_keys(germ, lo, hi), germ.lattice.den
+    points = tuple((_point(key, den), Fraction(key[-1], germ.rebased.den)) for key in keys)
+    return WindowCount(lo, hi, points, len(points))
+
+
+def window_keys(germ: ToricGerm, low: Fraction, high: Fraction) -> list[tuple[int, ...]]:
+    """``count_window`` in integers: the sorted ``_window`` keys of the
+    interior lattice points with log discrepancy in [low, high), their L
+    numerators over ``germ.rebased.den``."""
+    (lp, lq), (hp, hq) = low.as_integer_ratio(), high.as_integer_ratio()
+    if not (0 < lp and lp * hq <= hp * lq):
         raise InvalidWindow("window must satisfy 0 < low <= high")
     rb = germ.rebased
-    # integer numerators v with lo <= v / den < hi
-    lo_num, hi_num = math.ceil(lo * rb.den), math.ceil(hi * rb.den)
-    points = tuple((p, Fraction(x, rb.den)) for p, x in _window(germ, _box_points(rb), lo_num, hi_num))
-    return WindowCount(lo, hi, points, len(points))
+    # integer numerators v with low <= v / den < high
+    lo_num, hi_num = -(-lp * rb.den // lq), -(-hp * rb.den // hq)
+    return _window(germ, _box_points(rb), lo_num, hi_num)
 
 
 def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tuple[int, ...]]:
@@ -387,8 +412,8 @@ def mld_window_counts(germ: ToricGerm, deltas: Sequence) -> tuple[Fraction, tupl
     else:
         cells = list(_box_points(rb))
         m = min(min(values) for *_, values in cells)
-    # the largest numerator inside [m, m + delta)
-    tops = [m + math.ceil(Fraction(d) * rb.den) - 1 for d in deltas]
+    # the largest numerator inside [m, m + delta), m + ceil(delta * den) - 1
+    tops = [m - (-p * rb.den // q) - 1 for p, q in (d.as_integer_ratio() for d in deltas)]
     if germ.dim != 2:
         top = max(tops, default=m - 1)
         lifts = [_lift([[x for x in xs if x <= top]], [(ell,) for ell in ells], top)[0] for _, ells, _, _, xs in cells]

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .germio import format_q, germ_doc, parse_int, parse_q
 from .invariants import ToricGerm, make_germ, mld_window_counts, pi1_order
-from .linalg import identity, lattice_from_generators
+from .linalg import as_rational, identity, lattice_from_generators
 
 SCOPE_NOTE = "window counts cover toric divisorial valuations only"
 
@@ -52,15 +52,17 @@ class _InstanceFields(NamedTuple):
 
 
 class ConjectureInstance(_InstanceFields):  # a NamedTuple's own body may not define __new__
-    def __new__(cls, germ: ToricGerm, epsilon: Fraction, delta: Fraction):
+    def __new__(cls, germ: ToricGerm, epsilon, delta):
+        epsilon, delta = as_rational(epsilon, "epsilon"), as_rational(delta, "delta")
         _check_thresholds(epsilon, delta)
         return super().__new__(cls, germ, epsilon, delta)
 
 
 def _check_thresholds(epsilon: Fraction, delta: Fraction):
-    if not epsilon > 0:
+    if not epsilon.numerator > 0:
         raise ValidationError("epsilon must be positive")
-    if not (0 < delta < 1):
+    p, q = delta.as_integer_ratio()
+    if not (0 < p < q):
         raise ValidationError("delta must lie in (0, 1)")
 
 
@@ -96,9 +98,11 @@ def _check_germ(germ: ToricGerm, deltas: list[Fraction]):
         return lambda inst: degenerate
     count_of = dict(zip(deltas, counts))
     order = pi1_order(germ)
+    num, den = value.as_integer_ratio()
 
     def result(inst: ConjectureInstance) -> InstanceResult:
-        ok = value > inst.epsilon
+        p, q = inst.epsilon.as_integer_ratio()
+        ok = num * q > p * den  # value > epsilon
         cls = Classification.SATISFIES if ok else Classification.VIOLATES_MLD
         return InstanceResult(value, ok, count_of[inst.delta], order, cls)
 
@@ -238,14 +242,14 @@ class ScanReport:
 
 def scan(instances: Iterable[ConjectureInstance]) -> ScanReport:
     """Fold instances into a report, streaming: each run of consecutive
-    instances on one germ is evaluated once, for the sorted set of its
-    deltas, and then dropped, so memory is bounded by the report.  The
+    instances on one germ is evaluated once, for all of its deltas, and
+    then dropped, so memory is bounded by the report.  The
     fold is a commutative merge, so the result is independent of the
     instance order."""
     report = ScanReport(cells={})
     for germ, run in groupby(instances, attrgetter("germ")):
         run = list(run)
-        _fold_run(report, germ, run, _check_germ(germ, sorted({inst.delta for inst in run})))
+        _fold_run(report, germ, run, _check_germ(germ, [inst.delta for inst in run]))
     return report
 
 

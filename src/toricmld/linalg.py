@@ -21,6 +21,7 @@ Nothing here ever touches floating point.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import cached_property
 from fractions import Fraction
@@ -31,6 +32,17 @@ from .errors import ValidationError, ZeroVector
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
+
+
+def as_rational(x, what: str) -> Fraction:
+    """x as a Fraction, x itself when it is one.  A real that is not
+    rational, a binary float above all, raises ValidationError: 1.1 is
+    2476979795053773/2251799813685248, not 11/10."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+        raise ValidationError(f"{what} {x!r} is not rational: give a Fraction, an int or a string 'p/q'")
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +509,12 @@ class LatticeBasis(_LatticeFields):  # no __slots__: the cached properties need 
 
 def lattice_from_generators(dim: int, gens: Sequence[Sequence]) -> LatticeBasis:
     """Lattice generated by Z^dim together with the given rational vectors."""
-    fracs = [[Fraction(x) for x in g] for g in gens]
-    for g in fracs:
+    ratios = [[as_rational(x, "a generator entry").as_integer_ratio() for x in g] for g in gens]
+    for g in ratios:
         if len(g) != dim:
             raise ValidationError(f"a generator of length {len(g)} in dimension {dim}")
-    d = math.lcm(*[f.denominator for g in fracs for f in g])
-    rows = [tuple(f.numerator * (d // f.denominator) for f in g) for g in fracs]
+    d = math.lcm(*[q for g in ratios for _, q in g])
+    rows = [tuple(p * (d // q) for p, q in g) for g in ratios]
     rows += [tuple(d * x for x in e) for e in identity(dim)]
     basis = _nonzero_hnf(rows)  # dim rows: the standard basis is among the generators
     g = math.gcd(d, *(x for row in basis for x in row))

@@ -147,11 +147,15 @@ def _tau_containing_ray(c: Cone, m, rho) -> Cone:
     interior: walk from m along -rho to the boundary and recurse into
     the face met there."""
     # the boundary point m - (a/b) rho at the least ratio a/b = f.m / f.rho,
-    # scaled by b: a positive multiple has the same minimal face and relint
-    a, b = min(
-        ((dot(f, m), dot(f, rho)) for f in c.facets if dot(f, rho) > 0),
-        key=lambda ab: Fraction(*ab),
-    )
+    # scaled by b: a positive multiple has the same minimal face and relint.
+    # The first least ratio, compared by cross-multiplying, as every b > 0
+    a = b = None
+    for f in c.facets:
+        fb = dot(f, rho)
+        if fb > 0:
+            fa = dot(f, m)
+            if b is None or fa * b < a * fb:
+                a, b = fa, fb
     m2 = tuple(b * x - a * r for x, r in zip(m, rho))
     face = minimal_face_containing(c, m2)
     if not face.ray_indices:
@@ -270,8 +274,8 @@ def _validate_decomposition(germ, m, d):
         combo = tuple(sum(k * r[j] for k, r in zip(row, rays)) for j in range(n))
         if tuple(v) != combo:
             raise InternalError(f"vector {tuple(v)} is not its ray combination {combo}")
-    total = tuple(sum(Fraction(v[j]) for v in d.vectors) for j in range(n))
-    if total != tuple(d.k0 * Fraction(x) for x in m):
+    # sum of v = k0 * m, with m's coordinates p / q, ints or Fractions
+    if any(sum(col) * x.denominator != d.k0 * x.numerator for col, x in zip(zip(*d.vectors), m)):
         raise InternalError("decomposition vectors do not sum to k0 * m")
 
 
@@ -291,7 +295,8 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
     if det(d.vectors) == 0:
         raise DependentVectors("decomposition vectors are linearly dependent")
     ob = germ.orbifold
-    germ.rebased  # L exists: raises NotQCartier or NotFullDimensional otherwise
+    rb = germ.rebased  # L exists: raises NotQCartier or NotFullDimensional otherwise
+    ells = [dot(rb.l_num, r) for r in rb.cone.rays]  # rb.den * L(ray_j), rays in germ.cone.rays' order
     raw_coords = []
     prim_coords = []
     k_values = []
@@ -302,7 +307,7 @@ def blowup_report(germ: ToricGerm, d: Decomposition) -> BlowupReport:
         raw_coords.append(c)
         c0 = primitive(c)
         prim_coords.append(c0)
-        k_values.append(sum(k * (1 - b) for k, b in zip(row, germ.boundary)) / math.gcd(*c))
+        k_values.append(Fraction(dot(row, ells), rb.den * math.gcd(*c)))
     coarse = abs(int(det(raw_coords)))
     group = abs(int(det(prim_coords)))
     pi1 = pi1_order(germ)

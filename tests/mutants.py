@@ -146,6 +146,20 @@ MUTANTS = (
            (COUNTING,), "one column past the last x"),
     Mutant("invariants.py", "a = -(u * x2 + v * y2) % r", "a = (u * x2 + v * y2) % r",
            (COUNTING, CLOSED_FORMS), "a = Y mod r, not -Y mod r"),
+    # integers inside, Fractions at the API boundary
+    Mutant("invariants.py", "q * dot(f, r)) for (p, q), f, r in", "q) for (p, q), f, r in",
+           ("tests/test_invariants.py::test_the_mld_is_at_most_the_dimension_with_equality_iff_smooth_and_no_boundary",),
+           "L of a simplicial cone without the division by f_i . r_i"),
+    Mutant("invariants.py", "m - (-p * rb.den // q) - 1", "m + (p * rb.den // q) - 1",
+           (COUNTING,), "the tops of mld_window_counts from a floor, not a ceiling"),
+    Mutant("lab.py", "ok = num * q > p * den", "ok = num * q >= p * den",
+           ("tests/test_lab.py::test_check_instance_examples",), "an mld equal to epsilon satisfies"),
+    Mutant("germio.py", "g = math.gcd(num, den)", "g = 1",
+           ("tests/test_rationals.py::test_format_ratio_prints_what_format_q_prints",),
+           "format_ratio without its gcd"),
+    Mutant("cli.py", "a // den if a % den == 0 else format_ratio(a, den)", "format_ratio(a, den)",
+           ("tests/test_rationals.py::test_cli_window_and_mld_print_the_public_results",),
+           "integral coordinates over an extended lattice printed as 'p/q'"),
     # the exact command-line grammar, which argparse must agree with
     Mutant("cli.py", " or any(opt.required and opt.dest not in values for opt in options.values())", "",
            (GRAMMAR,), "exact grammar without the required options"),

@@ -235,7 +235,8 @@ def test_narrow_window_lifts_the_box_points_below_high_only(monkeypatch):
     assert sum(len(box) for box, _ in lifted) == below
     assert all(x < hi_num for box, out in lifted for x in box + out)
     assert any(x < lo_num for _, out in lifted for x in out)
-    # one entry per coordinate and one value per returned point; low, high and the values
+    # one entry per coordinate and one value per returned point; low and high,
+    # Fractions already, are not rebuilt
     assert len(yielded) == (germ.dim + 1) * window.count
-    assert len(fractions) == 2 + window.count
+    assert len(fractions) == window.count
     assert 0 < window.count <= below < len(values) // 10

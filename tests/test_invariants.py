@@ -341,3 +341,37 @@ def test_invariants_are_gl_n_z_equivariant_on_drawn_germs():
 
     check()
     assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+
+def test_the_mld_is_at_most_the_dimension_with_equality_iff_smooth_and_no_boundary():
+    """mld <= n for a toric germ, with equality iff the germ is smooth, its
+    rays a basis of N, and B = 0 (Ambro, Math. Res. Lett. 6, 1999), on
+    drawn germs of dimension 2-4 and on the orthants."""
+    from collections import Counter
+
+    from hypothesis import assume, given, settings
+
+    from conftest import germs
+    from toricmld.linalg import det
+
+    seen = Counter()
+
+    def check_one(germ):
+        n = germ.dim
+        smooth = len(germ.cone.rays) == n and abs(det(germ.coords)) == 1
+        value = t.mld(germ).value
+        assert value <= n
+        assert (value == n) == (smooth and not any(germ.boundary))
+        seen[("smooth" if smooth else "singular", "B = 0" if not any(germ.boundary) else "B > 0")] += 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(germs(min_dim=2))
+    def check(germ):
+        assume(germ.dim <= 4)
+        check_one(germ)
+
+    check()
+    for n in (2, 3, 4):
+        check_one(t.make_germ(t.make_cone(n, [tuple(int(i == j) for j in range(n)) for i in range(n)])))
+        check_one(t.family("ex4", n))
+    assert len(seen) == 4 and min(seen.values()) >= 3, seen

@@ -48,6 +48,9 @@ def test_check_instance_examples():
     r = t.check_instance(inst)
     assert r.classification is Classification.SATISFIES
     assert (r.mld_value, r.window_count, r.pi1_order) == (1, 4, 5)
+    # the mld must exceed epsilon: equal to it, it violates
+    r = t.check_instance(t.ConjectureInstance(t.family("ex1", 5), F(1), F(1, 2)))
+    assert (r.classification, r.hypothesis_mld_ok) == (Classification.VIOLATES_MLD, False)
 
     inst = t.ConjectureInstance(t.family("ex2", 8), F(1, 2), F(1, 2))
     r = t.check_instance(inst)
